@@ -143,27 +143,15 @@ class BenchmarkTable:
 
 # ------------------------------------------------------------ build
 
-def _gt_job(args: tuple) -> dict:
-    spec_d, enc_d, macro_d, pconfig_d, dspec_d, base_seed, arch_hash, run_seed = args
-    spec = SearchSpaceSpec.from_dict(spec_d)
-    enc = CellEncoding.from_dict(enc_d)
-    macro = MacroParams.from_dict(macro_d)
-    pconfig = ProtocolConfig.from_dict(pconfig_d)
-    dspec = SyntheticDatasetSpec.from_dict(dspec_d)
+def _gt_job(args: tuple) -> BenchmarkEntry:
+    spec, enc, macro, pconfig, dspec, base_seed, arch_hash, run_seed = args
     dataset = generate_dataset(dspec, base_seed)
     result = train_standalone(
         spec, enc, macro, pconfig, dataset,
         seed=derive_job_seed(base_seed, arch_hash, run_seed),
         arch_hash=arch_hash,
     )
-    return {
-        "arch_hash": arch_hash,
-        "encoding": enc.to_dict(),
-        "seed": run_seed,
-        "val_accuracy": result.val_accuracy,
-        "test_accuracy": result.test_accuracy,
-        "param_count": result.param_count,
-    }
+    return BenchmarkEntry(arch_hash, enc, run_seed, result.val_accuracy, result.test_accuracy, result.param_count)
 
 
 def build_micro_benchmark(
@@ -182,25 +170,15 @@ def build_micro_benchmark(
     if index is None:
         index = enumerate_space(spec)
     tasks = [
-        (
-            spec.to_dict(),
-            index.representatives[h].to_dict(),
-            macro.to_dict(),
-            pconfig.to_dict(),
-            dspec.to_dict(),
-            base_seed,
-            h,
-            s,
-        )
+        (spec, index.representatives[h], macro, pconfig, dspec, base_seed, h, s)
         for h in index.hashes
         for s in run_seeds
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_gt_job, tasks, chunksize=1))
+            entries = list(pool.map(_gt_job, tasks, chunksize=1))
     else:
-        raw = [_gt_job(t) for t in tasks]
-    entries = [BenchmarkEntry.from_dict(r) for r in raw]
+        entries = [_gt_job(t) for t in tasks]
     meta = {
         "dataset": dspec.to_dict(),
         "protocol": pconfig.to_dict(),

@@ -75,13 +75,13 @@ def _load_table(path: str | Path) -> BenchmarkTable:
 
 def _matching_table(config: ExperimentConfig, bench_path: str | None) -> BenchmarkTable:
     table = _load_table(bench_path or config.benchmark.path)
-    if table.spec.to_dict() != config.space.to_dict():
+    if table.spec != config.space:
         raise CliError(
             f"benchmark table was built for space {table.spec.space_id}, "
             f"config describes {config.space.space_id}",
             EXIT_MISMATCH,
         )
-    if table.macro.to_dict() != config.macro.to_dict():
+    if table.macro != config.macro:
         raise CliError("benchmark table macro settings differ from the config", EXIT_MISMATCH)
     return table
 
@@ -159,7 +159,9 @@ def cmd_build_benchmark(args) -> int:
 # ------------------------------------------------------------------ run
 
 def _select_eval_hashes(config: ExperimentConfig, index, seed: int) -> list[str]:
-    hashes = list(index.hashes)
+    """Architectures to rank; a sub-space super-net (fixed_k) ranks only its own."""
+    k = config.supernet.fixed_k
+    hashes = [h for h in index.hashes if k is None or index.representatives[h].output_in_degree() == k]
     m = config.metrics.num_eval_archs
     if m < len(hashes):
         rng = named_rng(seed, "eval-archs")

@@ -1,43 +1,27 @@
 """Experiment configuration: one JSON file, nine sections, strict keys.
 
-Every section maps onto a dataclass elsewhere in the package; unknown
-sections or unknown keys inside a section raise instead of being ignored,
-so a typo never silently runs with defaults.
+Every section maps onto a dataclass elsewhere in the package and is read
+by the strict codec in `record`; unknown sections, unknown keys and values
+of the wrong type raise instead of being ignored or cast, so a typo never
+silently runs with defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SyntheticDatasetSpec
 from .metrics import MetricConfig
 from .protocol import ProtocolConfig
+from .record import Record
 from .searchspace import SearchSpaceSpec
 from .supernet import MacroParams, SuperNetConfig
 
-CONFIG_SECTIONS = (
-    "space",
-    "macro",
-    "supernet",
-    "protocol",
-    "metrics",
-    "dataset",
-    "eval",
-    "benchmark",
-    "output",
-)
-
-
-def _check_keys(d: dict, known: set[str], where: str) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-
 
 @dataclass(frozen=True)
-class EvalSettings:
+class EvalSettings(Record, label="eval"):
     """How shared-weight evaluation runs after training."""
 
     supernet_seeds: tuple[int, ...] = (0, 1, 2)
@@ -51,20 +35,9 @@ class EvalSettings:
         if self.bn_mode not in ("batch", "tracked"):
             raise ValueError(f"unknown bn_mode {self.bn_mode!r}")
 
-    def to_dict(self) -> dict:
-        return {"supernet_seeds": list(self.supernet_seeds), "bn_mode": self.bn_mode}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalSettings":
-        _check_keys(d, {"supernet_seeds", "bn_mode"}, "eval")
-        kwargs = dict(d)
-        if "supernet_seeds" in kwargs:
-            kwargs["supernet_seeds"] = tuple(int(s) for s in kwargs["supernet_seeds"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class BenchmarkSettings:
+class BenchmarkSettings(Record, label="benchmark"):
     """Where the ground-truth table lives and how it was (or will be) built."""
 
     path: str = "benchmark.jsonl"
@@ -77,33 +50,14 @@ class BenchmarkSettings:
         if len(set(self.run_seeds)) != len(self.run_seeds):
             raise ValueError("benchmark run seeds must be distinct")
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "base_seed": self.base_seed, "run_seeds": list(self.run_seeds)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkSettings":
-        _check_keys(d, {"path", "base_seed", "run_seeds"}, "benchmark")
-        kwargs = dict(d)
-        if "run_seeds" in kwargs:
-            kwargs["run_seeds"] = tuple(int(s) for s in kwargs["run_seeds"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class OutputSettings:
+class OutputSettings(Record, label="output"):
     directory: str = "runs/default"
-
-    def to_dict(self) -> dict:
-        return {"directory": self.directory}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputSettings":
-        _check_keys(d, {"directory"}, "output")
-        return cls(**d)
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record, label="config"):
     space: SearchSpaceSpec = field(default_factory=SearchSpaceSpec)
     macro: MacroParams = field(default_factory=MacroParams)
     supernet: SuperNetConfig = field(default_factory=SuperNetConfig)
@@ -114,29 +68,15 @@ class ExperimentConfig:
     benchmark: BenchmarkSettings = field(default_factory=BenchmarkSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).to_dict() for name in CONFIG_SECTIONS}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, set(CONFIG_SECTIONS), "config")
-        parsers = {
-            "space": SearchSpaceSpec.from_dict,
-            "macro": MacroParams.from_dict,
-            "supernet": SuperNetConfig.from_dict,
-            "protocol": ProtocolConfig.from_dict,
-            "metrics": MetricConfig.from_dict,
-            "dataset": SyntheticDatasetSpec.from_dict,
-            "eval": EvalSettings.from_dict,
-            "benchmark": BenchmarkSettings.from_dict,
-            "output": OutputSettings.from_dict,
-        }
-        kwargs = {}
-        for name, section in d.items():
-            if not isinstance(section, dict):
-                raise ValueError(f"section {name!r} must be an object, got {type(section).__name__}")
-            kwargs[name] = parsers[name](section)
-        return cls(**kwargs)
+        unknown = set(d) - set(CONFIG_SECTIONS)
+        if unknown:
+            raise ValueError(f"unknown keys in config: {sorted(unknown)}")
+        return super().from_dict(d)
+
+
+CONFIG_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nncore import named_rng
+from .record import Record
 
 DATASET_KINDS = ("gaussian_blobs", "ring_classes", "textured_patches")
 
 
 @dataclass(frozen=True)
-class SyntheticDatasetSpec:
+class SyntheticDatasetSpec(Record, label="dataset"):
     kind: str = "textured_patches"
     num_classes: int = 3
     samples_per_class: int = 150
@@ -48,31 +49,6 @@ class SyntheticDatasetSpec:
     @property
     def pool_size(self) -> int:
         return self.num_classes * self.samples_per_class
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_classes": self.num_classes,
-            "samples_per_class": self.samples_per_class,
-            "image_size": self.image_size,
-            "in_channels": self.in_channels,
-            "noise": self.noise,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticDatasetSpec":
-        known = {"kind", "num_classes", "samples_per_class", "image_size", "in_channels", "noise"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown dataset keys: {sorted(unknown)}")
-        return cls(
-            kind=d.get("kind", "textured_patches"),
-            num_classes=int(d.get("num_classes", 3)),
-            samples_per_class=int(d.get("samples_per_class", 150)),
-            image_size=int(d.get("image_size", 8)),
-            in_channels=int(d.get("in_channels", 1)),
-            noise=float(d.get("noise", 0.35)),
-        )
 
 
 def ninety_ten(n: int) -> int:

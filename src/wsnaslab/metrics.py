@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from .record import Record
+
 
 @dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(Record, label="metrics"):
     sparse_threshold: float = 0.001   # accuracy units (fractions by default)
     gt_rounding: float = 0.001
     top_k: int = 3
@@ -36,23 +38,6 @@ class MetricConfig:
             raise ValueError("top_k must be at least 1")
         if self.num_eval_archs < 1:
             raise ValueError("num_eval_archs must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "sparse_threshold": self.sparse_threshold,
-            "gt_rounding": self.gt_rounding,
-            "top_k": self.top_k,
-            "num_eval_archs": self.num_eval_archs,
-            "eval_warning_floor": self.eval_warning_floor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricConfig":
-        known = set(cls().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown metric keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

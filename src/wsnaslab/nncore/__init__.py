@@ -8,11 +8,9 @@ micro search spaces need.
 """
 
 from .engine import (
-    PRIMITIVES,
     BNState,
     Tape,
     Value,
-    apply_primitive,
     avgpool3x3,
     batchnorm,
     channel_pad,
@@ -22,7 +20,6 @@ from .engine import (
     cross_entropy,
     dropout_mask,
     global_pool,
-    identity_op,
     linear,
     matmul2d,
     mix_axis,
@@ -30,7 +27,6 @@ from .engine import (
     reduce_sum,
     reshape,
     relu,
-    scale_channels,
     sum_tensors,
     take_axis,
     zero_op,
@@ -40,11 +36,9 @@ from .params import ParamStore, load_checkpoint, named_rng, save_checkpoint, str
 
 __all__ = [
     "BNState",
-    "PRIMITIVES",
     "ParamStore",
     "Tape",
     "Value",
-    "apply_primitive",
     "avgpool3x3",
     "batchnorm",
     "channel_pad",
@@ -55,7 +49,6 @@ __all__ = [
     "dropout_mask",
     "finite_diff_check",
     "global_pool",
-    "identity_op",
     "linear",
     "load_checkpoint",
     "matmul2d",
@@ -66,7 +59,6 @@ __all__ = [
     "relu",
     "reshape",
     "save_checkpoint",
-    "scale_channels",
     "stream_key",
     "sum_tensors",
     "take_axis",

@@ -17,21 +17,6 @@ import numpy as np
 
 from .params import ParamStore
 
-PRIMITIVES = (
-    "conv3x3",
-    "conv1x1",
-    "avgpool3x3",
-    "identity",
-    "zero",
-    "linear",
-    "batchnorm",
-    "relu",
-    "global_pool",
-    "concat",
-    "sum",
-)
-
-
 class Value:
     """A node in the computation graph: array data plus a tape position."""
 
@@ -231,10 +216,6 @@ def avgpool3x3(x: Value) -> Value:
     return tape._record(out, backward)
 
 
-def identity_op(x: Value) -> Value:
-    return x
-
-
 def zero_op(x: Value) -> Value:
     """Constant zeros with the input's shape; kills gradient flow."""
     tape = _tape_of(x)
@@ -386,11 +367,6 @@ def mul_mask(x: Value, mask: np.ndarray) -> Value:
         return [(x, d_out * m)]
 
     return tape._record(out, backward)
-
-
-def scale_channels(x: Value, factor: float) -> Value:
-    """Multiply by a scalar constant."""
-    return mul_mask(x, np.asarray(factor))
 
 
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:
@@ -573,37 +549,3 @@ def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
 
     return tape._record(out, backward)
 
-
-# -------------------------------------------------------------- dispatcher
-
-def apply_primitive(kind: str, x, params: dict | None = None, train: bool = True, bn_mode: str = "batch"):
-    """Uniform entry point over the primitive vocabulary.
-
-    `x` is a Value (or a list of Values for concat / sum). `params` carries
-    whatever the kind needs: {"weight": Value} for convs, {"weight": Value,
-    "bias": Value} for linear, {"state": BNState} for batchnorm.
-    """
-    params = params or {}
-    if kind == "conv3x3":
-        return conv3x3(x, params["weight"])
-    if kind == "conv1x1":
-        return conv1x1(x, params["weight"])
-    if kind == "avgpool3x3":
-        return avgpool3x3(x)
-    if kind == "identity":
-        return identity_op(x)
-    if kind == "zero":
-        return zero_op(x)
-    if kind == "linear":
-        return linear(x, params["weight"], params["bias"])
-    if kind == "batchnorm":
-        return batchnorm(x, params["state"], train=train, bn_mode=bn_mode)
-    if kind == "relu":
-        return relu(x)
-    if kind == "global_pool":
-        return global_pool(x)
-    if kind == "concat":
-        return concat_channels(list(x))
-    if kind == "sum":
-        return sum_tensors(list(x))
-    raise ValueError(f"unknown primitive kind {kind!r}")

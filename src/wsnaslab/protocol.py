@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .nncore import named_rng
+from .record import Record
 from .sampling import SAMPLER_KINDS, Sampler
 from .searchspace import CellEncoding, EnumerationIndex, SearchSpaceSpec
 from .supernet import (
@@ -29,13 +30,14 @@ from .supernet import (
     build_standalone,
     build_supernet,
     forward_path,
+    mean_path_loss,
     path_loss,
     path_param_count,
 )
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Record, label="protocol"):
     """Hyper-parameters of a training protocol."""
 
     epochs: int = 20
@@ -67,29 +69,6 @@ class ProtocolConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if not 0.0 < self.bn_momentum < 1.0:
             raise ValueError("bn_momentum must lie in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "train_portion": self.train_portion,
-            "sampler": self.sampler,
-            "bn_affine": self.bn_affine,
-            "bn_track": self.bn_track,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
-        known = set(cls().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown protocol keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -190,6 +169,24 @@ def fairnas_step(sn: SuperNet, opt: SGD, plan, xb, yb, lr: float, rng) -> tuple[
     return total / plan.length, plan.length
 
 
+def _train(pconfig: ProtocolConfig, x_train, y_train, batch_rng, step) -> TrainLog:
+    """Epochs of seeded batches under the cosine schedule.
+
+    step(xb, yb, lr) runs one update and returns (mean loss, passes).
+    """
+    log = TrainLog()
+    for epoch in range(pconfig.epochs):
+        lr = cosine_lr(pconfig.learning_rate, epoch, pconfig.epochs)
+        losses = []
+        for batch in _train_batches(len(y_train), pconfig.batch_size, batch_rng):
+            loss, passes = step(x_train[batch], y_train[batch], lr)
+            log.forward_backward_passes += passes
+            log.update_steps += 1
+            losses.append(loss)
+        log.append(epoch, float(np.mean(losses)), lr)
+    return log
+
+
 def train_supernet(
     spec: SearchSpaceSpec,
     macro: MacroParams,
@@ -198,38 +195,31 @@ def train_supernet(
     dataset: Dataset,
     seed: int,
     index: EnumerationIndex | None = None,
-    k_filter: int | None = None,
 ) -> tuple[SuperNet, TrainLog]:
-    """Single-path training of a fresh super-net."""
+    """Single-path training of a fresh super-net.
+
+    A sub-space super-net (sn_config.fixed_k set) samples only architectures
+    whose output in-degree is fixed_k.
+    """
     sn = build_supernet(
         spec, macro, sn_config, seed,
         bn_affine=pconfig.bn_affine, bn_track=pconfig.bn_track,
         bn_momentum=pconfig.bn_momentum, bn_eps=pconfig.bn_eps,
     )
-    sampler = Sampler(pconfig.sampler, spec, index=index, k_filter=k_filter)
+    sampler = Sampler(pconfig.sampler, spec, index=index, k_filter=sn_config.fixed_k)
     x_train, y_train, _, _ = dataset.split(pconfig.train_portion)
     if len(y_train) < pconfig.batch_size:
         raise ValueError(f"{len(y_train)} training examples cannot fill a batch of {pconfig.batch_size}")
     opt = SGD(pconfig.momentum, pconfig.weight_decay)
     sampler_rng = named_rng(seed, "sampler")
-    batch_rng = named_rng(seed, "batches")
     forward_rng = named_rng(seed, "forward")
-    log = TrainLog()
-    for epoch in range(pconfig.epochs):
-        lr = cosine_lr(pconfig.learning_rate, epoch, pconfig.epochs)
-        losses = []
-        for batch in _train_batches(len(y_train), pconfig.batch_size, batch_rng):
-            xb, yb = x_train[batch], y_train[batch]
-            if sampler.kind == "fairnas":
-                loss, passes = fairnas_step(sn, opt, sampler.plan(sampler_rng), xb, yb, lr, forward_rng)
-                log.forward_backward_passes += passes
-            else:
-                loss = spos_step(sn, opt, sampler.draw(sampler_rng), xb, yb, lr, forward_rng)
-                log.forward_backward_passes += 1
-            log.update_steps += 1
-            losses.append(loss)
-        log.append(epoch, float(np.mean(losses)), lr)
-    return sn, log
+
+    def step(xb, yb, lr):
+        if sampler.kind == "fairnas":
+            return fairnas_step(sn, opt, sampler.plan(sampler_rng), xb, yb, lr, forward_rng)
+        return spos_step(sn, opt, sampler.draw(sampler_rng), xb, yb, lr, forward_rng), 1
+
+    return sn, _train(pconfig, x_train, y_train, named_rng(seed, "batches"), step)
 
 
 def _eval_spans(n: int, batch_size: int, fold_singleton: bool) -> list[tuple[int, int]]:
@@ -291,16 +281,10 @@ def train_standalone(
     )
     x_train, y_train, x_val, y_val = dataset.split(pconfig.train_portion)
     opt = SGD(pconfig.momentum, pconfig.weight_decay)
-    batch_rng = named_rng(seed, "batches", arch_hash)
-    log = TrainLog()
-    for epoch in range(pconfig.epochs):
-        lr = cosine_lr(pconfig.learning_rate, epoch, pconfig.epochs)
-        losses = []
-        for batch in _train_batches(len(y_train), pconfig.batch_size, batch_rng):
-            losses.append(spos_step(sn, opt, enc, x_train[batch], y_train[batch], lr, None))
-            log.forward_backward_passes += 1
-            log.update_steps += 1
-        log.append(epoch, float(np.mean(losses)), lr)
+    log = _train(
+        pconfig, x_train, y_train, named_rng(seed, "batches", arch_hash),
+        lambda xb, yb, lr: (spos_step(sn, opt, enc, xb, yb, lr, None), 1),
+    )
     bn_mode = "tracked" if pconfig.bn_track else "batch"
     val_acc = evaluate_path(sn, enc, x_val, y_val, pconfig.batch_size, bn_mode=bn_mode)
     test_acc = evaluate_path(sn, enc, dataset.x_test, dataset.y_test, pconfig.batch_size, bn_mode=bn_mode)
@@ -364,24 +348,16 @@ def supernet_landscape_loss_fn(
     seed: int = 0,
     index: EnumerationIndex | None = None,
 ):
-    """Mean loss over a fixed sample of paths, as a loss_fn for the grid."""
-    sampler = Sampler("random_a" if index is not None else "random_nas", sn.spec, index=index)
+    """Mean loss over a fixed sample of paths, as a loss_fn for the grid.
+
+    A sub-space super-net draws only paths of its output in-degree.
+    """
+    kind = "random_a" if index is not None else "random_nas"
+    sampler = Sampler(kind, sn.spec, index=index, k_filter=sn.config.fixed_k)
     rng = named_rng(seed, "landscape-paths")
     encs = [sampler.draw(rng) for _ in range(num_paths)]
-
-    def loss_fn(store) -> float:
-        total = 0.0
-        for enc in encs:
-            loss, _ = path_loss(sn, enc, x, y, train=False, bn_mode="batch")
-            total += float(loss.data)
-        return total / len(encs)
-
-    return loss_fn
+    return lambda store: mean_path_loss(sn, encs, x, y)
 
 
 def standalone_landscape_loss_fn(sn: SuperNet, enc: CellEncoding, x: np.ndarray, y: np.ndarray):
-    def loss_fn(store) -> float:
-        loss, _ = path_loss(sn, enc, x, y, train=False, bn_mode="batch")
-        return float(loss.data)
-
-    return loss_fn
+    return lambda store: mean_path_loss(sn, [enc], x, y)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .record import Record
+
 OP_VOCABULARY = ("conv3x3", "conv1x1", "avgpool3x3", "identity", "zero")
 
 RAW_ENUMERATION_GUARD = 100_000
@@ -28,7 +30,7 @@ SKELETON_MASK_GUARD = 1 << 20
 
 
 @dataclass(frozen=True)
-class SearchSpaceSpec:
+class SearchSpaceSpec(Record, label="space"):
     """Static description of a cell search space."""
 
     n_nodes: int = 2
@@ -98,31 +100,6 @@ class SearchSpaceSpec:
 
     def chain_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, i + 1) for i in range(self.n_nodes + 1))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "ops": list(self.ops),
-            "op_placement": self.op_placement,
-            "merge_rule": self.merge_rule,
-            "channel_mode": self.channel_mode,
-            "topology_mode": self.topology_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchSpaceSpec":
-        known = {"n_nodes", "ops", "op_placement", "merge_rule", "channel_mode", "topology_mode"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        return cls(
-            n_nodes=int(d["n_nodes"]),
-            ops=tuple(d["ops"]),
-            op_placement=d.get("op_placement", "node"),
-            merge_rule=d.get("merge_rule", "concat"),
-            channel_mode=d.get("channel_mode", "dynamic"),
-            topology_mode=d.get("topology_mode", "dag"),
-        )
 
 
 def make_chain_space(spec: SearchSpaceSpec) -> SearchSpaceSpec:

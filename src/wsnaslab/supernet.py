@@ -16,12 +16,13 @@ so their forwards agree bitwise with the shared builder at equal seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore as nn
-from .nncore import BNState, ParamStore, Tape, Value, named_rng
+from .nncore import BNState, ParamStore, Tape, Value
+from .record import Record
 from .searchspace import CellEncoding, SearchSpaceSpec, validate_encoding
 
 CHANNEL_STRATEGIES = ("fixed_chunk", "shuffle", "interpolate", "disabled")
@@ -29,7 +30,7 @@ PARAMETRIC_OPS = ("conv3x3", "conv1x1")
 
 
 @dataclass(frozen=True)
-class MacroParams:
+class MacroParams(Record, label="macro"):
     """Network skeleton around the searched cells."""
 
     init_channels: int = 8
@@ -44,26 +45,9 @@ class MacroParams:
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
 
-    def to_dict(self) -> dict:
-        return {
-            "init_channels": self.init_channels,
-            "num_layers": self.num_layers,
-            "repeated_cells": self.repeated_cells,
-            "num_classes": self.num_classes,
-            "in_channels": self.in_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MacroParams":
-        known = {"init_channels", "num_layers", "repeated_cells", "num_classes", "in_channels"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown macro keys: {sorted(unknown)}")
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
-class SuperNetConfig:
+class SuperNetConfig(Record, label="supernet"):
     """Weight-sharing factors under study."""
 
     channel_strategy: str = "fixed_chunk"
@@ -84,35 +68,6 @@ class SuperNetConfig:
             raise ValueError("fixed_k only applies to channel_strategy=disabled")
         if not 0.0 <= self.path_dropout < 1.0 or not 0.0 <= self.global_dropout < 1.0:
             raise ValueError("dropout rates must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "channel_strategy": self.channel_strategy,
-            "dynamic_channel_train": self.dynamic_channel_train,
-            "dynamic_channel_test": self.dynamic_channel_test,
-            "fixed_k": self.fixed_k,
-            "wsbn": self.wsbn,
-            "path_dropout": self.path_dropout,
-            "global_dropout": self.global_dropout,
-            "ofa_kernel": self.ofa_kernel,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuperNetConfig":
-        known = {
-            "channel_strategy",
-            "dynamic_channel_train",
-            "dynamic_channel_test",
-            "fixed_k",
-            "wsbn",
-            "path_dropout",
-            "global_dropout",
-            "ofa_kernel",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown supernet keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -135,7 +90,6 @@ class SuperNet:
     bn_affine: bool
     bn_track: bool
     restricted_to: CellEncoding | None = None
-    _step_counter: int = field(default=0, repr=False)
 
     @property
     def alloc_width(self) -> int:
@@ -376,10 +330,6 @@ def _slice_axis(v: Value, c: int, axis: int, strategy: str, rng: np.random.Gener
     raise ValueError(f"unknown channel strategy {strategy!r}")
 
 
-def _slice_activation(v: Value, c: int, strategy: str, rng) -> Value:
-    return _slice_axis(v, c, 1, strategy, rng)
-
-
 def _slice_weight_2d(v: Value, c_out: int, c_in: int, strategy: str, rng) -> Value:
     return _slice_axis(_slice_axis(v, c_out, 0, strategy, rng), c_in, 1, strategy, rng)
 
@@ -398,7 +348,7 @@ def _merge(sn: SuperNet, tensors: list[Value], target: int, rng) -> Value:
                 )
         return tensors[0] if len(tensors) == 1 else nn.sum_tensors(tensors)
     chunk = max(1, target // len(tensors))
-    pieces = [_slice_activation(t, min(chunk, t.data.shape[1]), strategy, rng) for t in tensors]
+    pieces = [_slice_axis(t, min(chunk, t.data.shape[1]), 1, strategy, rng) for t in tensors]
     merged = pieces[0] if len(pieces) == 1 else nn.concat_channels(pieces)
     return nn.channel_pad(merged, target)
 
@@ -474,7 +424,7 @@ def _cell_forward(
                 t = nn.batchnorm(t, sn.bn_states[_wsbn_key(stack, v, u)], train=train, bn_mode=bn_mode)
             if drop > 0.0:
                 keep = np.float32(1.0 / (1.0 - drop)) if rng.random() >= drop else np.float32(0.0)
-                t = nn.scale_channels(t, keep)
+                t = nn.mul_mask(t, keep)
             contributions.append(t)
         return contributions
 

@@ -362,8 +362,6 @@ def _primitive_probes():
          lambda t: nn.mul_mask(nn.conv1x1(t.param("x"), t.param("w")), _mask("conv1x1", (2, 5, 4, 4)))),
         ("avgpool3x3", [("x", (2, 3, 6, 6), 2)],
          lambda t: nn.mul_mask(nn.avgpool3x3(t.param("x")), _mask("avgpool3x3", (2, 3, 6, 6)))),
-        ("identity", [("x", (2, 3, 4, 4), 2)],
-         lambda t: nn.mul_mask(nn.identity_op(t.param("x")), _mask("identity", (2, 3, 4, 4)))),
         ("zero", [("x", (2, 3, 4, 4), 2)],
          lambda t: nn.zero_op(t.param("x"))),
         ("linear", [("x", (4, 6), 3), ("w", (6, 3), 6), ("b", (3,), 3)],
@@ -388,8 +386,9 @@ def _primitive_probes():
                                _mask("mix_axis", (2, 2, 3, 3)))),
         ("mul_mask", [("x", (3, 4), 2)],
          lambda t: nn.mul_mask(t.param("x"), _mask("mul_mask", (3, 4)))),
-        ("scale_channels", [("x", (2, 3, 4, 4), 2)],
-         lambda t: nn.mul_mask(nn.scale_channels(t.param("x"), 0.37), _mask("scale_channels", (2, 3, 4, 4)))),
+        # a float32 scalar, as path dropout passes its keep factor
+        ("mul_mask_scalar", [("x", (2, 3, 4, 4), 2)],
+         lambda t: nn.mul_mask(nn.mul_mask(t.param("x"), np.float32(0.37)), _mask("scale_channels", (2, 3, 4, 4)))),
         ("reshape", [("x", (2, 3, 4), 2)],
          lambda t: nn.mul_mask(nn.reshape(t.param("x"), (3, 8)), _mask("reshape", (3, 8)))),
         ("matmul2d", [("a", (3, 4), 2), ("b", (4, 5), 4)],
@@ -850,7 +849,7 @@ def test_criterion_08_dynamic_channel_ablation(env):
             )
             sn_sub, _ = train_supernet(
                 config.space, config.macro, sub_config, proto, dataset,
-                3000 + 10 * s + sub.k, index=index, k_filter=sub.k,
+                3000 + 10 * s + sub.k, index=index,
             )
             rec_disabled += _rank_records([sn_sub], list(sub.arch_hashes), table, x_val, y_val, proto.batch_size)
         kdt_disabled = sparse_kendall_tau(rec_disabled, metric_cfg)

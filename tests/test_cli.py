@@ -11,6 +11,7 @@ import pytest
 from wsnaslab.bench import load_table
 from wsnaslab.cli import main
 from wsnaslab.config import ExperimentConfig
+from wsnaslab.searchspace import enumerate_space
 
 
 def tiny_config_dict(root: Path) -> dict:
@@ -143,6 +144,24 @@ def test_run_tracked_eval_without_tracking_exits_2(workdir, tmp_path, capsys):
     cfg = tmp_path / "tracked.json"
     cfg.write_text(json.dumps(d))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+
+
+def test_run_with_disabled_slicing_ranks_its_sub_space(tmp_path, capsys):
+    d = tiny_config_dict(tmp_path)
+    d["space"] = {"n_nodes": 2, "ops": ["conv1x1"]}  # output in-degrees 1 and 2
+    d["supernet"] = {
+        "channel_strategy": "disabled", "fixed_k": 1,
+        "dynamic_channel_train": False, "dynamic_channel_test": False,
+    }
+    d["benchmark"]["run_seeds"] = [0]
+    cfg = tmp_path / "disabled.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["build-benchmark", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    index = enumerate_space(ExperimentConfig.from_dict(d).space)
+    in_degree_1 = {h for h in index.hashes if index.representatives[h].output_in_degree() == 1}
+    assert 0 < len(in_degree_1) < index.unique_count
+    assert {r["arch_hash"] for r in read_csv(tmp_path / "run" / "ranks.csv")} == in_degree_1
 
 
 # ---------------------------------------------------------------- sweep

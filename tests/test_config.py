@@ -27,6 +27,9 @@ def test_partial_config_uses_section_defaults():
     config = ExperimentConfig.from_dict({"protocol": {"epochs": 5}})
     assert config.protocol.epochs == 5
     assert config.space == ExperimentConfig().space
+    config = ExperimentConfig.from_dict({"space": {"ops": ["conv3x3", "conv1x1"]}})
+    assert config.space.ops == ("conv3x3", "conv1x1")
+    assert config.space.n_nodes == ExperimentConfig().space.n_nodes
 
 
 def test_unknown_section_and_key_rejected():
@@ -79,6 +82,29 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text(json.dumps({"protocol": {"epochs": 0}}))
     with pytest.raises(ValueError, match="bad.json"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("macro", "init_channels", 8.7),
+    ("protocol", "epochs", 2.5),
+    ("benchmark", "base_seed", True),
+    ("supernet", "wsbn", 1),
+    ("supernet", "fixed_k", "1"),
+    ("dataset", "kind", 3),
+    ("eval", "supernet_seeds", [0, 1.0]),
+])
+def test_mistyped_values_fail_at_load(tmp_path, section, key, value):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
+        load_config(path)
+
+
+def test_float_fields_keep_ints_and_optional_fields_take_null():
+    config = ExperimentConfig.from_dict({"protocol": {"learning_rate": 1}, "supernet": {"fixed_k": None}})
+    assert config.to_dict()["protocol"]["learning_rate"] == 1
+    assert type(config.protocol.learning_rate) is int
+    assert config.supernet.fixed_k is None
 
 
 def test_save_and_load_config_round_trip(tmp_path):

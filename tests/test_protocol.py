@@ -247,7 +247,7 @@ def test_train_supernet_random_a_needs_index_and_k_filter_restricts():
     # a k=2 sub-space super-net rejects foreign paths, so a completed run
     # proves the filter held on every sampled architecture
     sn, log = train_supernet(
-        MICRO, MACRO, sub_config, pconfig, dataset, seed=0, index=index, k_filter=2
+        MICRO, MACRO, sub_config, pconfig, dataset, seed=0, index=index
     )
     assert log.update_steps > 0
 
