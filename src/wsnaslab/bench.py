@@ -95,15 +95,19 @@ class BenchmarkTable:
 
     def __post_init__(self):
         self.entries = sorted(self.entries, key=lambda e: (e.arch_hash, e.seed))
+        self._by_hash: dict[str, list[BenchmarkEntry]] = {}
+        for e in self.entries:
+            self._by_hash.setdefault(e.arch_hash, []).append(e)
+        self._hashes = list(self._by_hash)
 
     def hashes(self) -> list[str]:
-        return sorted({e.arch_hash for e in self.entries})
+        return list(self._hashes)
 
     def entries_for(self, arch_hash: str) -> list[BenchmarkEntry]:
-        found = [e for e in self.entries if e.arch_hash == arch_hash]
-        if not found:
+        found = self._by_hash.get(arch_hash)
+        if found is None:
             raise KeyError(f"architecture {arch_hash!r} not in the table")
-        return found
+        return list(found)
 
     def gt_mean(self, arch_hash: str) -> float:
         return float(np.mean([e.test_accuracy for e in self.entries_for(arch_hash)]))
@@ -127,7 +131,7 @@ class BenchmarkTable:
         threshold 0: bijection onto 1..r_max, ties broken by hash.
         threshold > 0: groups share a rank per the sparse convention.
         """
-        hashes = self.hashes()
+        hashes = self._hashes
         if threshold == 0.0:
             ordered = sorted(hashes, key=lambda h: (self.gt_mean(h), h))
             return ordered.index(arch_hash) + 1
@@ -138,7 +142,7 @@ class BenchmarkTable:
 
     @property
     def r_max(self) -> int:
-        return len(self.hashes())
+        return len(self._hashes)
 
 
 # ------------------------------------------------------------ build

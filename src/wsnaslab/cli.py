@@ -10,9 +10,9 @@ Subcommands:
   gradcheck        finite-difference audit of the autodiff engine
   presets          list or emit the shipped configuration presets
 
-Exit codes: 0 success, 2 bad usage or bad configuration, 3 inconsistent
-inputs (table/config mismatch, unknown architecture), 4 missing or
-unreadable files.
+Exit codes: 0 success, 2 bad usage, bad configuration or any other
+library ValueError, 3 inconsistent inputs (table/config mismatch, unknown
+architecture), 4 missing or unreadable files.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def cmd_histogram(args) -> int:
     config = _load_config(args.config)
     index = enumerate_space(config.space)
     table = _matching_table(config, args.bench) if args.bench else None
-    sampler = Sampler(config.protocol.sampler, config.space, index=index)
+    sampler = Sampler(config.protocol.sampler, config.space, index=index, k_filter=config.supernet.fixed_k)
     counts = sampling_histogram(sampler, args.draws, args.seed)
     unknown = set(counts) - set(index.hashes)
     if unknown:
@@ -490,6 +490,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

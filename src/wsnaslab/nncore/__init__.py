@@ -2,9 +2,11 @@
 
 Values are float32 by default (float64 available for gradient checking);
 every reduction accumulates in float64 before casting back. The engine is
-deliberately tiny: a tape of backward closures, a string-keyed parameter
+deliberately tiny: a tape that is one list of nodes (output index, parent
+indices, backward closure over arrays only), a string-keyed parameter
 store with named deterministic init streams, and the dozen primitives the
-micro search spaces need.
+micro search spaces need. The tape holds no Value, so tapes and their
+activations are freed by reference counting, not by the cyclic collector.
 """
 
 from .engine import (

@@ -1,5 +1,12 @@
 """Tape-based reverse-mode autodiff and the micro-net primitives.
 
+The tape is one list of nodes (output index, parent indices, backward).
+Each primitive computes its output and pushes one node; backward(d_out)
+returns one gradient per parent (or None) and closes over arrays and
+shapes only. A Value points at its tape, but the tape holds no Value, so
+a forward leaves no reference cycle: the tape and its activations are
+freed by reference counting once the last Value and the tape go.
+
 Conventions:
   * activations are (N, C, H, W) or (N, C) arrays at the tape dtype,
   * every reduction (matmul contractions, means, sums) runs in float64 and
@@ -12,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +41,7 @@ class Value:
 
 
 class Tape:
-    """Records forward ops and replays their backward closures in reverse.
+    """Records forward nodes and walks them once in reverse.
 
     A tape is single-use: after backward() it is consumed and any further
     forward or backward call raises.
@@ -42,9 +50,9 @@ class Tape:
     def __init__(self, store: ParamStore | None = None, dtype=None):
         self.store = store
         self.dtype = np.dtype(dtype) if dtype is not None else (store.dtype if store else np.dtype(np.float32))
-        self._backward_fns: list = []
+        self._nodes: list[tuple[int, tuple[int, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
-        self._params: dict[str, Value] = {}
+        self._params: dict[str, int] = {}
         self._next = 0
         self.consumed = False
 
@@ -57,6 +65,12 @@ class Tape:
         v = Value(np.asarray(data, dtype=self.dtype), self, self._next)
         self._next += 1
         return v
+
+    def _push(self, data: np.ndarray, parents: Sequence[Value], backward: Callable) -> Value:
+        """Record one primitive; backward(d_out) -> one gradient per parent (or None)."""
+        out = self._new_value(data)
+        self._nodes.append((out.idx, tuple(p.idx for p in parents), backward))
+        return out
 
     def constant(self, data: np.ndarray) -> Value:
         """A node that never receives or propagates gradient."""
@@ -72,45 +86,34 @@ class Tape:
         if self.store is None:
             raise RuntimeError("tape has no parameter store")
         if key in self._params:
-            return self._params[key]
+            return Value(np.asarray(self.store.get(key), dtype=self.dtype), self, self._params[key])
         v = self._new_value(self.store.get(key))
-        store = self.store
-
-        def backward(grads: dict[int, np.ndarray], idx=v.idx, key=key):
-            g = grads.get(idx)
-            if g is not None:
-                store.accumulate_grad(key, g)
-
-        self._backward_fns.append(backward)
-        self._params[key] = v
+        self._params[key] = v.idx
         return v
-
-    def _record(self, out: Value, backward_fn) -> Value:
-        """backward_fn(d_out) -> list of (value, grad contribution)."""
-
-        def run(grads: dict[int, np.ndarray], idx=out.idx):
-            d_out = grads.get(idx)
-            if d_out is None:
-                return
-            for value, contrib in backward_fn(d_out):
-                if contrib is None:
-                    continue
-                prev = grads.get(value.idx)
-                if prev is None:
-                    grads[value.idx] = np.asarray(contrib, dtype=self.dtype)
-                else:
-                    grads[value.idx] = (prev.astype(np.float64) + contrib).astype(self.dtype)
-
-        self._backward_fns.append(run)
-        return out
 
     def backward(self, loss: Value) -> None:
         self._check_live()
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
-        self._grads[loss.idx] = np.ones_like(loss.data)
-        for fn in reversed(self._backward_fns):
-            fn(self._grads)
+        grads = self._grads
+        grads[loss.idx] = np.ones_like(loss.data)
+        for idx, parents, node_backward in reversed(self._nodes):
+            d_out = grads.get(idx)
+            if d_out is None:
+                continue
+            for parent, contrib in zip(parents, node_backward(d_out)):
+                if contrib is None:
+                    continue
+                prev = grads.get(parent)
+                if prev is None:
+                    grads[parent] = np.asarray(contrib, dtype=self.dtype)
+                else:
+                    grads[parent] = (prev.astype(np.float64) + contrib).astype(self.dtype)
+        for key, idx in reversed(self._params.items()):
+            g = grads.get(idx)
+            if g is not None:
+                self.store.accumulate_grad(key, g)
+        self._nodes.clear()
         self.consumed = True
 
     def input_grad(self, value: Value) -> np.ndarray | None:
@@ -168,17 +171,17 @@ def conv3x3(x: Value, weight: Value) -> Value:
         raise ValueError(f"conv3x3 shapes: x {x.data.shape}, weight {weight.data.shape}")
     if weight.data.shape[1] != x.data.shape[1]:
         raise ValueError(f"conv3x3 channel mismatch: x has {x.data.shape[1]}, weight expects {weight.data.shape[1]}")
+    w_shape = weight.data.shape
     cols = _im2col3(x.data)
-    w_flat = _f64(weight.data.reshape(weight.data.shape[0], weight.data.shape[1], 9))
-    out = tape._new_value(np.einsum("ock,nckhw->nohw", w_flat, _f64(cols)).astype(tape.dtype))
+    w_flat = _f64(weight.data.reshape(w_shape[0], w_shape[1], 9))
 
     def backward(d_out):
         d64 = _f64(d_out)
-        d_w = np.einsum("nohw,nckhw->ock", d64, _f64(cols)).reshape(weight.data.shape)
+        d_w = np.einsum("nohw,nckhw->ock", d64, _f64(cols)).reshape(w_shape)
         d_x = _col2im3(np.einsum("ock,nohw->nckhw", w_flat, d64))
-        return [(weight, d_w), (x, d_x)]
+        return d_w, d_x
 
-    return tape._record(out, backward)
+    return tape._push(np.einsum("ock,nckhw->nohw", w_flat, _f64(cols)), (weight, x), backward)
 
 
 def conv1x1(x: Value, weight: Value) -> Value:
@@ -188,15 +191,15 @@ def conv1x1(x: Value, weight: Value) -> Value:
         raise ValueError(f"conv1x1 shapes: x {x.data.shape}, weight {weight.data.shape}")
     if weight.data.shape[1] != x.data.shape[1]:
         raise ValueError(f"conv1x1 channel mismatch: x has {x.data.shape[1]}, weight expects {weight.data.shape[1]}")
-    out = tape._new_value(np.einsum("oc,nchw->nohw", _f64(weight.data), _f64(x.data)).astype(tape.dtype))
+    x_data, w_data = x.data, weight.data
 
     def backward(d_out):
         d64 = _f64(d_out)
-        d_w = np.einsum("nohw,nchw->oc", d64, _f64(x.data))
-        d_x = np.einsum("oc,nohw->nchw", _f64(weight.data), d64)
-        return [(weight, d_w), (x, d_x)]
+        d_w = np.einsum("nohw,nchw->oc", d64, _f64(x_data))
+        d_x = np.einsum("oc,nohw->nchw", _f64(w_data), d64)
+        return d_w, d_x
 
-    return tape._record(out, backward)
+    return tape._push(np.einsum("oc,nchw->nohw", _f64(w_data), _f64(x_data)), (weight, x), backward)
 
 
 def avgpool3x3(x: Value) -> Value:
@@ -204,16 +207,15 @@ def avgpool3x3(x: Value) -> Value:
     tape = _tape_of(x)
     if x.data.ndim != 4:
         raise ValueError(f"avgpool3x3 needs a 4-d input, got {x.data.shape}")
+    dtype = tape.dtype
 
     def stencil(a: np.ndarray) -> np.ndarray:
-        return (_f64(_im2col3(a)).sum(axis=2) / 9.0).astype(tape.dtype)
-
-    out = tape._new_value(stencil(x.data))
+        return (_f64(_im2col3(a)).sum(axis=2) / 9.0).astype(dtype)
 
     def backward(d_out):
-        return [(x, stencil(d_out))]
+        return (stencil(d_out),)
 
-    return tape._record(out, backward)
+    return tape._push(stencil(x.data), (x,), backward)
 
 
 def zero_op(x: Value) -> Value:
@@ -227,28 +229,23 @@ def linear(x: Value, weight: Value, bias: Value) -> Value:
     tape = _tape_of(x, weight, bias)
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ValueError(f"linear shapes: x {x.data.shape}, weight {weight.data.shape}")
-    out = tape._new_value((_f64(x.data) @ _f64(weight.data) + _f64(bias.data)).astype(tape.dtype))
+    x_data, w_data = x.data, weight.data
 
     def backward(d_out):
         d64 = _f64(d_out)
-        return [
-            (weight, _f64(x.data).T @ d64),
-            (bias, d64.sum(axis=0)),
-            (x, d64 @ _f64(weight.data).T),
-        ]
+        return _f64(x_data).T @ d64, d64.sum(axis=0), d64 @ _f64(w_data).T
 
-    return tape._record(out, backward)
+    return tape._push(_f64(x_data) @ _f64(w_data) + _f64(bias.data), (weight, bias, x), backward)
 
 
 def relu(x: Value) -> Value:
     tape = _tape_of(x)
     mask = x.data > 0
-    out = tape._new_value(np.where(mask, x.data, 0))
 
     def backward(d_out):
-        return [(x, np.where(mask, d_out, 0))]
+        return (np.where(mask, d_out, 0),)
 
-    return tape._record(out, backward)
+    return tape._push(np.where(mask, x.data, 0), (x,), backward)
 
 
 def global_pool(x: Value) -> Value:
@@ -257,13 +254,11 @@ def global_pool(x: Value) -> Value:
     if x.data.ndim != 4:
         raise ValueError(f"global_pool needs a 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
-    out = tape._new_value(_f64(x.data).mean(axis=(2, 3)).astype(tape.dtype))
 
     def backward(d_out):
-        d_x = np.broadcast_to(_f64(d_out)[:, :, None, None] / (h * w), (n, c, h, w))
-        return [(x, d_x)]
+        return (np.broadcast_to(_f64(d_out)[:, :, None, None] / (h * w), (n, c, h, w)),)
 
-    return tape._record(out, backward)
+    return tape._push(_f64(x.data).mean(axis=(2, 3)), (x,), backward)
 
 
 def sum_tensors(xs: list[Value]) -> Value:
@@ -278,12 +273,12 @@ def sum_tensors(xs: list[Value]) -> Value:
     acc = np.zeros(shape, dtype=np.float64)
     for v in xs:
         acc += _f64(v.data)
-    out = tape._new_value(acc.astype(tape.dtype))
+    count = len(xs)
 
     def backward(d_out):
-        return [(v, d_out) for v in xs]
+        return (d_out,) * count
 
-    return tape._record(out, backward)
+    return tape._push(acc, xs, backward)
 
 
 def concat_channels(xs: list[Value]) -> Value:
@@ -291,18 +286,17 @@ def concat_channels(xs: list[Value]) -> Value:
     if not xs:
         raise ValueError("concat of no tensors")
     tape = _tape_of(*xs)
-    out = tape._new_value(np.concatenate([v.data for v in xs], axis=1))
     widths = [v.data.shape[1] for v in xs]
 
     def backward(d_out):
         pieces = []
         start = 0
-        for v, width in zip(xs, widths):
-            pieces.append((v, d_out[:, start : start + width]))
+        for width in widths:
+            pieces.append(d_out[:, start : start + width])
             start += width
         return pieces
 
-    return tape._record(out, backward)
+    return tape._push(np.concatenate([v.data for v in xs], axis=1), xs, backward)
 
 
 def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
@@ -315,30 +309,29 @@ def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
         return x
     pad = [(0, 0)] * x.data.ndim
     pad[axis] = (0, target - current)
-    out = tape._new_value(np.pad(x.data, pad))
+    keep = [slice(None)] * x.data.ndim
+    keep[axis] = slice(0, current)
 
     def backward(d_out):
-        sl = [slice(None)] * x.data.ndim
-        sl[axis] = slice(0, current)
-        return [(x, d_out[tuple(sl)])]
+        return (d_out[tuple(keep)],)
 
-    return tape._record(out, backward)
+    return tape._push(np.pad(x.data, pad), (x,), backward)
 
 
 def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
     """Gather along an axis; backward scatter-adds."""
     tape = _tape_of(x)
     idx = np.asarray(indices, dtype=np.intp)
-    out = tape._new_value(np.take(x.data, idx, axis=axis))
+    shape = x.data.shape
+    sl = [slice(None)] * x.data.ndim
+    sl[axis] = idx
 
     def backward(d_out):
-        d_x = np.zeros(x.data.shape, dtype=np.float64)
-        sl = [slice(None)] * x.data.ndim
-        sl[axis] = idx
+        d_x = np.zeros(shape, dtype=np.float64)
         np.add.at(d_x, tuple(sl), _f64(d_out))
-        return [(x, d_x)]
+        return (d_x,)
 
-    return tape._record(out, backward)
+    return tape._push(np.take(x.data, idx, axis=axis), (x,), backward)
 
 
 def mix_axis(x: Value, mat: np.ndarray, axis: int) -> Value:
@@ -347,36 +340,33 @@ def mix_axis(x: Value, mat: np.ndarray, axis: int) -> Value:
     m64 = _f64(mat)
     if m64.shape[1] != x.data.shape[axis]:
         raise ValueError(f"mix_axis: matrix {m64.shape} does not match axis size {x.data.shape[axis]}")
-    out_data = np.moveaxis(np.tensordot(m64, _f64(x.data), axes=([1], [axis])), 0, axis).astype(tape.dtype)
-    out = tape._new_value(out_data)
 
     def backward(d_out):
-        d_x = np.moveaxis(np.tensordot(m64.T, _f64(d_out), axes=([1], [axis])), 0, axis)
-        return [(x, d_x)]
+        return (np.moveaxis(np.tensordot(m64.T, _f64(d_out), axes=([1], [axis])), 0, axis),)
 
-    return tape._record(out, backward)
+    out_data = np.moveaxis(np.tensordot(m64, _f64(x.data), axes=([1], [axis])), 0, axis)
+    return tape._push(out_data, (x,), backward)
 
 
 def mul_mask(x: Value, mask: np.ndarray) -> Value:
     """Multiply by a constant mask (dropout / path gating)."""
     tape = _tape_of(x)
     m = np.asarray(mask, dtype=tape.dtype)
-    out = tape._new_value(x.data * m)
 
     def backward(d_out):
-        return [(x, d_out * m)]
+        return (d_out * m,)
 
-    return tape._record(out, backward)
+    return tape._push(x.data * m, (x,), backward)
 
 
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:
     tape = _tape_of(x)
-    out = tape._new_value(x.data.reshape(shape))
+    x_shape = x.data.shape
 
     def backward(d_out):
-        return [(x, d_out.reshape(x.data.shape))]
+        return (d_out.reshape(x_shape),)
 
-    return tape._record(out, backward)
+    return tape._push(x.data.reshape(shape), (x,), backward)
 
 
 def matmul2d(a: Value, b: Value) -> Value:
@@ -384,24 +374,24 @@ def matmul2d(a: Value, b: Value) -> Value:
     tape = _tape_of(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul2d shapes: {a.data.shape} @ {b.data.shape}")
-    out = tape._new_value((_f64(a.data) @ _f64(b.data)).astype(tape.dtype))
+    a_data, b_data = a.data, b.data
 
     def backward(d_out):
         d64 = _f64(d_out)
-        return [(a, d64 @ _f64(b.data).T), (b, _f64(a.data).T @ d64)]
+        return d64 @ _f64(b_data).T, _f64(a_data).T @ d64
 
-    return tape._record(out, backward)
+    return tape._push(_f64(a_data) @ _f64(b_data), (a, b), backward)
 
 
 def reduce_sum(x: Value) -> Value:
     """Sum of all elements (float64 accumulation), as a scalar node."""
     tape = _tape_of(x)
-    out = tape._new_value(np.asarray(_f64(x.data).sum()))
+    shape = x.data.shape
 
     def backward(d_out):
-        return [(x, np.broadcast_to(_f64(d_out), x.data.shape))]
+        return (np.broadcast_to(_f64(d_out), shape),)
 
-    return tape._record(out, backward)
+    return tape._push(np.asarray(_f64(x.data).sum()), (x,), backward)
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -488,41 +478,34 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
     inv_std = 1.0 / np.sqrt(var + state.eps)
     x_hat = (_f64(x.data) - mean.reshape(shape)) * inv_std.reshape(shape)
 
-    scale_v = shift_v = None
-    if state.affine:
-        scale_full = tape.param(state.key + "/scale")
-        shift_full = tape.param(state.key + "/shift")
+    affine = state.affine
+    if affine:
+        scale_v = tape.param(state.key + "/scale")
+        shift_v = tape.param(state.key + "/shift")
         if c < state.channels:
-            scale_v = take_axis(scale_full, np.arange(c), 0)
-            shift_v = take_axis(shift_full, np.arange(c), 0)
-        else:
-            scale_v, shift_v = scale_full, shift_full
-        out_data = (x_hat * _f64(scale_v.data).reshape(shape) + _f64(shift_v.data).reshape(shape)).astype(tape.dtype)
+            scale_v = take_axis(scale_v, np.arange(c), 0)
+            shift_v = take_axis(shift_v, np.arange(c), 0)
+        scale = _f64(scale_v.data).reshape(shape)
+        out_data = x_hat * scale + _f64(shift_v.data).reshape(shape)
+        parents = (scale_v, shift_v, x)
     else:
-        out_data = x_hat.astype(tape.dtype)
-
-    out = tape._new_value(out_data)
-    n_eff = int(np.prod([x.data.shape[a] for a in axes]))
+        out_data = x_hat
+        parents = (x,)
 
     def backward(d_out):
         d64 = _f64(d_out)
-        grads = []
-        if state.affine:
-            grads.append((scale_v, (d64 * x_hat).sum(axis=axes)))
-            grads.append((shift_v, d64.sum(axis=axes)))
-            d_hat = d64 * _f64(scale_v.data).reshape(shape)
-        else:
-            d_hat = d64
+        d_hat = d64 * scale if affine else d64
         if use_batch:
             m1 = d_hat.mean(axis=axes).reshape(shape)
             m2 = (d_hat * x_hat).mean(axis=axes).reshape(shape)
             d_x = inv_std.reshape(shape) * (d_hat - m1 - x_hat * m2)
         else:
             d_x = d_hat * inv_std.reshape(shape)
-        grads.append((x, d_x))
-        return grads
+        if affine:
+            return (d64 * x_hat).sum(axis=axes), d64.sum(axis=axes), d_x
+        return (d_x,)
 
-    return tape._record(out, backward)
+    return tape._push(out_data, parents, backward)
 
 
 # ------------------------------------------------------------------- loss
@@ -539,13 +522,11 @@ def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
     log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_p = z - log_norm
     loss = -log_p[np.arange(n), y].mean()
-    out = tape._new_value(np.asarray(loss))
     softmax = np.exp(log_p)
 
     def backward(d_out):
         d = softmax.copy()
         d[np.arange(n), y] -= 1.0
-        return [(logits, d * (_f64(d_out) / n))]
+        return (d * (_f64(d_out) / n),)
 
-    return tape._record(out, backward)
-
+    return tape._push(np.asarray(loss), (logits,), backward)

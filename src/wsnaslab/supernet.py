@@ -6,8 +6,10 @@ boundary carry macro.init_channels (C) channels. In dynamic-channel spaces
 an architecture whose output node has in-degree k runs its intermediate
 nodes at floor(C / k) channels, realized by slicing the allocated weights
 with the configured channel strategy. Merges renormalize widths: a j-input
-concat targeting width W slices every input to floor(W / j), concatenates,
-and zero-pads to W; sum merges require equal widths.
+concat targeting width W slices every input to max(1, floor(W / j)) and
+concatenates; a result narrower than W is zero-padded to W, and one wider
+than W (j > W) is cut to W with the net's channel strategy. Sum merges
+require equal widths.
 
 Stand-alone networks and per-sub-space super-nets are the same machinery
 with channel_strategy="disabled" (constant intermediate width, no slicing),
@@ -350,6 +352,8 @@ def _merge(sn: SuperNet, tensors: list[Value], target: int, rng) -> Value:
     chunk = max(1, target // len(tensors))
     pieces = [_slice_axis(t, min(chunk, t.data.shape[1]), 1, strategy, rng) for t in tensors]
     merged = pieces[0] if len(pieces) == 1 else nn.concat_channels(pieces)
+    if merged.data.shape[1] > target:
+        return _slice_axis(merged, target, 1, strategy, rng)
     return nn.channel_pad(merged, target)
 
 

@@ -220,6 +220,24 @@ def test_histogram_csv_contents(workdir, capsys):
     assert {r["gt_rank"] for r in read_csv(no_bench)} == {"NA"}
 
 
+def test_histogram_honours_fixed_k(tmp_path, capsys):
+    preset = tmp_path / "preset.json"
+    assert main(["presets", "--name", "micro-node-concat", "--out", str(preset)]) == 0
+    d = json.loads(preset.read_text())
+    d["supernet"] = {"channel_strategy": "disabled", "fixed_k": 1,
+                     "dynamic_channel_train": False, "dynamic_channel_test": False}
+    cfg = tmp_path / "disabled.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "hist.csv"
+    assert main(["histogram", "--config", str(cfg), "--draws", "20", "--out", str(out)]) == 0
+    index = enumerate_space(ExperimentConfig.from_dict(d).space)
+    counts = {r["arch_hash"]: int(r["count"]) for r in read_csv(out)}
+    assert sum(counts.values()) > 0
+    for h, enc in index.representatives.items():
+        if enc.output_in_degree() == 2:
+            assert counts[h] == 0, h
+
+
 # ------------------------------------------------------------ landscape
 
 def test_landscape_grid_csv(workdir, capsys):
@@ -252,6 +270,20 @@ def test_landscape_single_arch_and_checkpoint_reuse(workdir, capsys):
         "landscape", "--config", config_path(workdir), "--out", str(out),
         "--arch", "0000000000000000", "--half-points", "1", "--batch", "8",
     ]) == 3
+
+
+def test_library_value_error_exits_2(tmp_path, capsys):
+    d = tiny_config_dict(tmp_path)
+    d["space"]["ops"] = ["conv3x3"]
+    d["supernet"] = {"ofa_kernel": True}
+    cfg = tmp_path / "ofa.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "grid.csv"
+    assert main(["landscape", "--config", str(cfg), "--out", str(out), "--half-points", "1",
+                 "--num-paths", "1", "--batch", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ofa_kernel needs both conv3x3 and conv1x1")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_landscape_checkpoint_errors(workdir, tmp_path, capsys):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from wsnaslab import nncore as nn
+from wsnaslab.config import load_config
 from wsnaslab.nncore import (
     BNState,
     ParamStore,
@@ -16,6 +20,9 @@ from wsnaslab.nncore import (
     save_checkpoint,
     stream_key,
 )
+from wsnaslab.protocol import evaluate_path
+from wsnaslab.searchspace import enumerate_space
+from wsnaslab.supernet import build_supernet, path_loss
 
 TOL = 1e-6  # float64 central differences are tight
 
@@ -313,6 +320,28 @@ def test_input_grad():
     loss = nn.reduce_sum(nn.mul_mask(x, np.full((2, 2), 2.0)))
     tape.backward(loss)
     np.testing.assert_allclose(tape.input_grad(x), np.full((2, 2), 2.0))
+
+
+def test_forward_and_backward_leave_no_reference_cycles():
+    """Tapes are freed by reference counting: the collector finds nothing."""
+    cfg = load_config(resources.files("wsnaslab") / "presets" / "micro-node-concat.json")
+    p = cfg.protocol
+    sn = build_supernet(cfg.space, cfg.macro, cfg.supernet, 0, bn_affine=p.bn_affine, bn_track=p.bn_track)
+    index = enumerate_space(cfg.space)
+    enc = next(e for e in index.representatives.values() if e.output_in_degree() == 2)
+    rng = named_rng(0, "cycle-batch")
+    x = rng.standard_normal((8, cfg.macro.in_channels, 8, 8)).astype(np.float32)
+    y = rng.integers(0, cfg.macro.num_classes, size=8)
+    gc.collect()
+    gc.disable()
+    try:
+        loss, tape = path_loss(sn, enc, x, y, train=True)
+        tape.backward(loss)
+        del loss, tape
+        evaluate_path(sn, enc, x, y, batch_size=4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------- BN

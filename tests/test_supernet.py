@@ -175,6 +175,22 @@ def test_forward_is_finite_across_the_whole_space():
             assert np.all(np.isfinite(logits.data))
 
 
+def test_concat_wider_than_its_target_is_cut_by_the_channel_strategy():
+    """Node 3 concatenates three 1-channel pieces at width 8 // 3 = 2."""
+    n3 = SearchSpaceSpec(n_nodes=3)
+    enc = CellEncoding(3, ((0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), (0, 1, 2))
+    macro = MacroParams(init_channels=8, num_layers=2, num_classes=3, in_channels=1)
+    x, y = batch(4)
+    for strategy in ("interpolate", "fixed_chunk"):
+        sn = build_supernet(n3, macro, SuperNetConfig(channel_strategy=strategy), seed=0)
+        assert path_width(sn, enc, train=True) == 2
+        loss, tape = path_loss(sn, enc, x, y, train=True)
+        tape.backward(loss)
+        assert np.isfinite(loss.data)
+        logits, _ = forward_path(sn, enc, x, train=False)
+        assert np.all(np.isfinite(logits.data))
+
+
 def test_sum_merge_space_forward():
     sn = build_supernet(EDGE2, MACRO, SuperNetConfig(), seed=2)
     x, _ = batch(2)
