@@ -99,6 +99,7 @@ class BenchmarkTable:
         for e in self.entries:
             self._by_hash.setdefault(e.arch_hash, []).append(e)
         self._hashes = list(self._by_hash)
+        self._worst_first: dict[float, dict[str, int]] = {}
 
     def hashes(self) -> list[str]:
         return list(self._hashes)
@@ -130,15 +131,25 @@ class BenchmarkTable:
 
         threshold 0: bijection onto 1..r_max, ties broken by hash.
         threshold > 0: groups share a rank per the sparse convention.
+        The rank map is built once per threshold; the table is not
+        modified after construction.
         """
+        ranks = self._worst_first.get(threshold)
+        if ranks is None:
+            ranks = self._worst_first[threshold] = self._rank_map(threshold)
+        if arch_hash not in ranks:
+            raise KeyError(f"architecture {arch_hash!r} not in the table")
+        return ranks[arch_hash]
+
+    def _rank_map(self, threshold: float) -> dict[str, int]:
         hashes = self._hashes
+        means = {h: self.gt_mean(h) for h in hashes}
         if threshold == 0.0:
-            ordered = sorted(hashes, key=lambda h: (self.gt_mean(h), h))
-            return ordered.index(arch_hash) + 1
-        means = np.asarray([self.gt_mean(h) for h in hashes])
-        best_first = sparse_ranks(means, threshold)
+            ordered = sorted(hashes, key=lambda h: (means[h], h))
+            return {h: i + 1 for i, h in enumerate(ordered)}
+        best_first = sparse_ranks(np.asarray([means[h] for h in hashes]), threshold)
         worst_first = best_first.max() - best_first + 1
-        return int(worst_first[hashes.index(arch_hash)])
+        return {h: int(r) for h, r in zip(hashes, worst_first)}
 
     @property
     def r_max(self) -> int:
@@ -148,8 +159,7 @@ class BenchmarkTable:
 # ------------------------------------------------------------ build
 
 def _gt_job(args: tuple) -> BenchmarkEntry:
-    spec, enc, macro, pconfig, dspec, base_seed, arch_hash, run_seed = args
-    dataset = generate_dataset(dspec, base_seed)
+    spec, enc, macro, pconfig, dataset, base_seed, arch_hash, run_seed = args
     result = train_standalone(
         spec, enc, macro, pconfig, dataset,
         seed=derive_job_seed(base_seed, arch_hash, run_seed),
@@ -173,8 +183,9 @@ def build_micro_benchmark(
         raise ValueError("need at least one run seed")
     if index is None:
         index = enumerate_space(spec)
+    dataset = generate_dataset(dspec, base_seed)
     tasks = [
-        (spec, index.representatives[h], macro, pconfig, dspec, base_seed, h, s)
+        (spec, index.representatives[h], macro, pconfig, dataset, base_seed, h, s)
         for h in index.hashes
         for s in run_seeds
     ]

@@ -158,10 +158,15 @@ def cmd_build_benchmark(args) -> int:
 
 # ------------------------------------------------------------------ run
 
+def _sub_space_hashes(config: ExperimentConfig, index) -> list[str]:
+    """The architectures a sub-space super-net (fixed_k) can sample; all without one."""
+    k = config.supernet.fixed_k
+    return [h for h in index.hashes if k is None or index.representatives[h].output_in_degree() == k]
+
+
 def _select_eval_hashes(config: ExperimentConfig, index, seed: int) -> list[str]:
     """Architectures to rank; a sub-space super-net (fixed_k) ranks only its own."""
-    k = config.supernet.fixed_k
-    hashes = [h for h in index.hashes if k is None or index.representatives[h].output_in_degree() == k]
+    hashes = _sub_space_hashes(config, index)
     m = config.metrics.num_eval_archs
     if m < len(hashes):
         rng = named_rng(seed, "eval-archs")
@@ -353,7 +358,11 @@ def cmd_histogram(args) -> int:
     out = Path(args.out)
     _write_rows(out, ["arch_hash", "count", "multiplicity", "gt_rank"], rows)
     visits = sum(counts.values())
-    print(f"{args.draws} draws, {visits} visits over {index.unique_count} architectures")
+    scope = f"{index.unique_count} architectures"
+    if config.supernet.fixed_k is not None:
+        reachable = len(_sub_space_hashes(config, index))
+        scope = f"{reachable} architectures (fixed_k={config.supernet.fixed_k} sub-space of {index.unique_count})"
+    print(f"{args.draws} draws, {visits} visits over {scope}")
     print(f"wrote {out}")
     return EXIT_OK
 

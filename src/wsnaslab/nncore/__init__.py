@@ -5,8 +5,10 @@ every reduction accumulates in float64 before casting back. The engine is
 deliberately tiny: a tape that is one list of nodes (output index, parent
 indices, backward closure over arrays only), a string-keyed parameter
 store with named deterministic init streams, and the dozen primitives the
-micro search spaces need. The tape holds no Value, so tapes and their
-activations are freed by reference counting, not by the cyclic collector.
+micro search spaces need. Convolutions are an im2col plus one float64
+matmul, and the conv3x3 backward pass is the same convolution with the
+kernel flipped. The tape holds no Value, so tapes and their activations
+are freed by reference counting, not by the cyclic collector.
 """
 
 from .engine import (

@@ -11,9 +11,13 @@ Conventions:
   * activations are (N, C, H, W) or (N, C) arrays at the tape dtype,
   * every reduction (matmul contractions, means, sums) runs in float64 and
     casts back to the tape dtype,
-  * convolutions are stride 1, same padding, no bias (batch-norm follows),
+  * convolutions are stride 1, same padding, no bias (batch-norm follows);
+    each is one float64 matmul over an im2col (a plain reshape for 1x1),
+    and the conv3x3 input gradient is the same im2col + matmul applied to
+    d_out with the kernel flipped in space and its channel axes swapped,
   * avgpool3x3 divides by 9 including zero padding, so it stays a fixed
-    linear stencil and is its own transpose in the backward pass.
+    linear stencil (a 3-row then 3-column shifted sum) and is its own
+    transpose in the backward pass.
 """
 
 from __future__ import annotations
@@ -139,49 +143,56 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- conv ops
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, 9, H, W) of 3x3 neighborhoods, zero padded."""
+def _pad1(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> float64 (N, C, H+2, W+2) with a one-pixel zero border."""
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
-            k += 1
-    return cols
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=np.float64)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x
+    return xp
 
 
-def _col2im3(dcols: np.ndarray) -> np.ndarray:
-    """Adjoint of _im2col3: scatter-add neighborhoods back."""
-    n, c, _, h, w = dcols.shape
-    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
-    k = 0
+def _im2col3(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> float64 (N, C*9, H*W) of zero-padded 3x3 neighborhoods.
+
+    Row c*9 + 3*di + dj holds channel c shifted by (di - 1, dj - 1), the
+    layout of a (O, C, 3, 3) kernel reshaped to (O, C*9).
+    """
+    n, c, h, w = x.shape
+    xp = _pad1(x)
+    cols = np.empty((n, c, 3, 3, h, w), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
-            dxp[:, :, di : di + h, dj : dj + w] += dcols[:, :, k]
-            k += 1
-    return dxp[:, :, 1 : h + 1, 1 : w + 1]
+            cols[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + w]
+    return cols.reshape(n, c * 9, h * w)
 
 
 def conv3x3(x: Value, weight: Value) -> Value:
-    """Stride-1 same-padding 3x3 convolution, no bias."""
+    """Stride-1 same-padding 3x3 convolution, no bias.
+
+    Forward is one (O, C*9) @ (N, C*9, H*W) matmul over the im2col. The
+    adjoint of a same-padding stride-1 convolution is the same convolution
+    with the kernel flipped in space and its channel axes swapped, so d_x
+    reuses the im2col + matmul on d_out.
+    """
     tape = _tape_of(x, weight)
     if x.data.ndim != 4 or weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
         raise ValueError(f"conv3x3 shapes: x {x.data.shape}, weight {weight.data.shape}")
     if weight.data.shape[1] != x.data.shape[1]:
         raise ValueError(f"conv3x3 channel mismatch: x has {x.data.shape[1]}, weight expects {weight.data.shape[1]}")
-    w_shape = weight.data.shape
+    w_data = weight.data
+    n, c, h, w = x.data.shape
+    o = w_data.shape[0]
     cols = _im2col3(x.data)
-    w_flat = _f64(weight.data.reshape(w_shape[0], w_shape[1], 9))
 
     def backward(d_out):
-        d64 = _f64(d_out)
-        d_w = np.einsum("nohw,nckhw->ock", d64, _f64(cols)).reshape(w_shape)
-        d_x = _col2im3(np.einsum("ock,nohw->nckhw", w_flat, d64))
+        d_flat = _f64(d_out).reshape(n, o, h * w)
+        d_w = (d_flat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_data.shape)
+        w_adj = _f64(w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, o * 9)
+        d_x = (w_adj @ _im2col3(d_out)).reshape(n, c, h, w)
         return d_w, d_x
 
-    return tape._push(np.einsum("ock,nckhw->nohw", w_flat, _f64(cols)), (weight, x), backward)
+    out = (_f64(w_data).reshape(o, c * 9) @ cols).reshape(n, o, h, w)
+    return tape._push(out, (weight, x), backward)
 
 
 def conv1x1(x: Value, weight: Value) -> Value:
@@ -191,15 +202,18 @@ def conv1x1(x: Value, weight: Value) -> Value:
         raise ValueError(f"conv1x1 shapes: x {x.data.shape}, weight {weight.data.shape}")
     if weight.data.shape[1] != x.data.shape[1]:
         raise ValueError(f"conv1x1 channel mismatch: x has {x.data.shape[1]}, weight expects {weight.data.shape[1]}")
-    x_data, w_data = x.data, weight.data
+    n, c, h, w = x.data.shape
+    o = weight.data.shape[0]
+    x_flat = _f64(x.data).reshape(n, c, h * w)
+    w64 = _f64(weight.data)
 
     def backward(d_out):
-        d64 = _f64(d_out)
-        d_w = np.einsum("nohw,nchw->oc", d64, _f64(x_data))
-        d_x = np.einsum("oc,nohw->nchw", _f64(w_data), d64)
+        d_flat = _f64(d_out).reshape(n, o, h * w)
+        d_w = (d_flat @ x_flat.transpose(0, 2, 1)).sum(axis=0)
+        d_x = (w64.T @ d_flat).reshape(n, c, h, w)
         return d_w, d_x
 
-    return tape._push(np.einsum("oc,nchw->nohw", _f64(w_data), _f64(x_data)), (weight, x), backward)
+    return tape._push((w64 @ x_flat).reshape(n, o, h, w), (weight, x), backward)
 
 
 def avgpool3x3(x: Value) -> Value:
@@ -208,9 +222,12 @@ def avgpool3x3(x: Value) -> Value:
     if x.data.ndim != 4:
         raise ValueError(f"avgpool3x3 needs a 4-d input, got {x.data.shape}")
     dtype = tape.dtype
+    h, w = x.data.shape[2:]
 
     def stencil(a: np.ndarray) -> np.ndarray:
-        return (_f64(_im2col3(a)).sum(axis=2) / 9.0).astype(dtype)
+        p = _pad1(a)
+        rows = p[:, :, 0:h] + p[:, :, 1 : h + 1] + p[:, :, 2 : h + 2]
+        return ((rows[..., 0:w] + rows[..., 1 : w + 1] + rows[..., 2 : w + 2]) / 9.0).astype(dtype)
 
     def backward(d_out):
         return (stencil(d_out),)
@@ -319,16 +336,23 @@ def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
 
 
 def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
-    """Gather along an axis; backward scatter-adds."""
+    """Gather along an axis; backward scatter-adds (plain assignment when
+    the indices are distinct)."""
     tape = _tape_of(x)
     idx = np.asarray(indices, dtype=np.intp)
     shape = x.data.shape
     sl = [slice(None)] * x.data.ndim
     sl[axis] = idx
+    sl = tuple(sl)
+    # wrap negative indices first, so -1 and n-1 count as one index
+    distinct = np.unique(np.arange(shape[axis])[idx]).size == idx.size
 
     def backward(d_out):
         d_x = np.zeros(shape, dtype=np.float64)
-        np.add.at(d_x, tuple(sl), _f64(d_out))
+        if distinct:
+            d_x[sl] = d_out
+        else:
+            np.add.at(d_x, sl, _f64(d_out))
         return (d_x,)
 
     return tape._push(np.take(x.data, idx, axis=axis), (x,), backward)

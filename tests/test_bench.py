@@ -131,6 +131,29 @@ def test_gt_rank_threshold_groups_near_ties():
     assert t.gt_rank("dd", threshold=0.01) == 1
 
 
+def test_gt_rank_matches_a_brute_force_sort_on_a_large_table():
+    """The cached worst-first map equals a fresh sort for every hash."""
+    rng = np.random.default_rng(0)
+    # accuracies on a coarse grid, so exact ties and near ties both occur
+    rows = {f"h{i:04d}": [(s, 0.5, float(rng.integers(300, 700)) / 1000) for s in range(3)]
+            for i in range(1234)}
+    t = synthetic_table(rows)
+    means = {h: float(np.mean([test for _, _, test in runs])) for h, runs in rows.items()}
+    by_mean = sorted(means, key=lambda h: (means[h], h))
+    for h in means:
+        assert t.gt_rank(h) == by_mean.index(h) + 1
+    threshold = 0.01
+    best_first, rank, anchor = {}, 0, None
+    for h in sorted(means, key=lambda h: (-means[h], h)):
+        if anchor is None or not (means[h] == anchor or anchor - means[h] < threshold):
+            rank, anchor = rank + 1, means[h]
+        best_first[h] = rank
+    for h in means:
+        assert t.gt_rank(h, threshold=threshold) == rank - best_first[h] + 1
+    with pytest.raises(KeyError):
+        t.gt_rank("absent")
+
+
 # ------------------------------------------------------------ persistence
 
 def test_save_load_round_trip_is_byte_identical(tmp_path):

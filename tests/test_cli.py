@@ -230,9 +230,10 @@ def test_histogram_honours_fixed_k(tmp_path, capsys):
     cfg.write_text(json.dumps(d))
     out = tmp_path / "hist.csv"
     assert main(["histogram", "--config", str(cfg), "--draws", "20", "--out", str(out)]) == 0
+    assert "visits over 18 architectures (fixed_k=1 sub-space of 42)" in capsys.readouterr().out
     index = enumerate_space(ExperimentConfig.from_dict(d).space)
     counts = {r["arch_hash"]: int(r["count"]) for r in read_csv(out)}
-    assert sum(counts.values()) > 0
+    assert len(counts) == 42 and sum(counts.values()) > 0
     for h, enc in index.representatives.items():
         if enc.output_in_degree() == 2:
             assert counts[h] == 0, h

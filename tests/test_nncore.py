@@ -114,13 +114,14 @@ def test_merge_primitives_gradients():
 def test_take_axis_scatter_add_gradients():
     store = f64_store()
     store.create("x", (2, 5, 3, 3), init="normal", fan_in=1)
-    idx = np.array([0, 2, 2, 4])  # repeated index exercises the scatter-add
+    # a repeated index exercises the scatter-add, distinct ones the plain
+    # assignment; -1 and 4 name the same channel, so they add too
+    for idx in (np.array([0, 2, 2, 4]), np.array([4, 0, 1]), np.array([-1, 2, 4])):
+        def builder(s, idx=idx):
+            tape = Tape(s)
+            return weighted_sum(nn.take_axis(tape.param("x"), idx, axis=1))
 
-    def builder(s):
-        tape = Tape(s)
-        return weighted_sum(nn.take_axis(tape.param("x"), idx, axis=1))
-
-    check(builder, store)
+        check(builder, store)
 
 
 def test_mix_axis_gradients():
@@ -342,6 +343,82 @@ def test_forward_and_backward_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------- conv parity with einsum
+
+def _oracle_im2col3(x):
+    """(N, C, H, W) -> (N, C, 9, H, W) of zero-padded 3x3 neighborhoods."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
+    return cols
+
+
+def _oracle_col2im3(dcols):
+    """Adjoint of _oracle_im2col3: scatter-add neighborhoods back."""
+    n, c, _, h, w = dcols.shape
+    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        dxp[:, :, di : di + h, dj : dj + w] += dcols[:, :, k]
+    return dxp[:, :, 1 : h + 1, 1 : w + 1]
+
+
+def _oracle_conv3x3(x, w, d_out):
+    """Forward (float32), d_x and d_w of the einsum formulation."""
+    cols = _oracle_im2col3(x).astype(np.float64)
+    w_flat = w.reshape(w.shape[0], w.shape[1], 9).astype(np.float64)
+    d64 = d_out.astype(np.float64)
+    out = np.einsum("ock,nckhw->nohw", w_flat, cols).astype(np.float32)
+    d_w = np.einsum("nohw,nckhw->ock", d64, cols).reshape(w.shape)
+    d_x = _oracle_col2im3(np.einsum("ock,nohw->nckhw", w_flat, d64))
+    return out, d_x, d_w
+
+
+def _oracle_conv1x1(x, w, d_out):
+    x64, w64, d64 = x.astype(np.float64), w.astype(np.float64), d_out.astype(np.float64)
+    out = np.einsum("oc,nchw->nohw", w64, x64).astype(np.float32)
+    return out, np.einsum("oc,nohw->nchw", w64, d64), np.einsum("nohw,nchw->oc", d64, x64)
+
+
+def _oracle_avgpool3x3(x, d_out):
+    def stencil(a):
+        return (_oracle_im2col3(a).astype(np.float64).sum(axis=2) / 9.0).astype(np.float32)
+    return stencil(x), stencil(d_out)
+
+
+@pytest.mark.parametrize("c", [8, 4, 2])
+def test_conv_and_pool_match_the_einsum_formulation(c):
+    """Forwards are bitwise equal to the einsum + im2col/col2im oracle at
+    preset shapes on a float32 tape; gradients agree to rtol 1e-6."""
+    rng = named_rng(c, "conv-parity")
+    x = rng.standard_normal((32, c, 8, 8)).astype(np.float32)
+    w3 = (rng.standard_normal((c, c, 3, 3)) / 3.0).astype(np.float32)
+    w1 = (rng.standard_normal((c, c)) / 2.0).astype(np.float32)
+    d_out = rng.standard_normal((32, c, 8, 8)).astype(np.float32)
+
+    def run(op, *arrays):
+        tape = Tape(dtype=np.float32)
+        leaves = [tape.input(a) for a in arrays]
+        out = op(*leaves)
+        tape.backward(nn.reduce_sum(nn.mul_mask(out, d_out)))
+        return out.data, [tape.input_grad(v) for v in leaves]
+
+    cases = [
+        (nn.conv3x3, (x, w3), _oracle_conv3x3(x, w3, d_out)),
+        (nn.conv1x1, (x, w1), _oracle_conv1x1(x, w1, d_out)),
+        (nn.avgpool3x3, (x,), _oracle_avgpool3x3(x, d_out)),
+    ]
+    for op, arrays, (want_out, *want_grads) in cases:
+        out, grads = run(op, *arrays)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, want_out, err_msg=op.__name__)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=op.__name__)
 
 
 # ------------------------------------------------------------------- BN

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,45 @@ def test_train_standalone_result_fields():
         seed=0,
     )
     assert r1.param_count == path_param_count(sn, CHAIN)
+
+
+_STORE_DIGEST = """
+import dataclasses, hashlib
+from importlib import resources
+from wsnaslab import protocol
+from wsnaslab.config import load_config
+from wsnaslab.data import generate_dataset
+from wsnaslab.searchspace import enumerate_space
+
+# train_standalone returns no network, so keep the one its builder makes
+built = []
+build = protocol.build_standalone
+protocol.build_standalone = lambda *a, **k: built.append(build(*a, **k)) or built[-1]
+cfg = load_config(resources.files("wsnaslab") / "presets" / "micro-node-concat.json")
+index = enumerate_space(cfg.space)
+h, enc = next((h, e) for h, e in index.representatives.items() if e.output_in_degree() == 2)
+pconfig = dataclasses.replace(cfg.protocol, epochs=1)
+r = protocol.train_standalone(cfg.space, enc, cfg.macro, pconfig, generate_dataset(cfg.dataset, 0), 5, h)
+store = built[0].store
+digest = hashlib.sha256(repr((r.val_accuracy, r.test_accuracy)).encode())
+for key in sorted(store.keys()):
+    digest.update(key.encode() + store.get(key).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_change_trained_weights():
+    """One stand-alone training gives the same store bytes on 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _STORE_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ----------------------------------------------------------------- splits
