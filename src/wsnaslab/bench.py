@@ -22,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SyntheticDatasetSpec, generate_dataset
+from .files import write_atomic
 from .metrics import sparse_ranks
 from .nncore import stream_key
 from .protocol import ProtocolConfig, train_standalone
+from .record import Record
 from .searchspace import CellEncoding, EnumerationIndex, SearchSpaceSpec, enumerate_space
 from .supernet import MacroParams
 
@@ -51,38 +53,13 @@ def protocol_digest(pconfig: ProtocolConfig, dspec: SyntheticDatasetSpec, base_s
 
 
 @dataclass(frozen=True)
-class BenchmarkEntry:
+class BenchmarkEntry(Record, label="entry"):
     arch_hash: str
     encoding: CellEncoding
     seed: int
     val_accuracy: float
     test_accuracy: float
     param_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "arch_hash": self.arch_hash,
-            "encoding": self.encoding.to_dict(),
-            "seed": self.seed,
-            "val_accuracy": self.val_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "param_count": self.param_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkEntry":
-        known = {"arch_hash", "encoding", "seed", "val_accuracy", "test_accuracy", "param_count"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown entry keys: {sorted(unknown)}")
-        return cls(
-            arch_hash=d["arch_hash"],
-            encoding=CellEncoding.from_dict(d["encoding"]),
-            seed=int(d["seed"]),
-            val_accuracy=float(d["val_accuracy"]),
-            test_accuracy=float(d["test_accuracy"]),
-            param_count=int(d["param_count"]),
-        )
 
 
 @dataclass
@@ -225,7 +202,7 @@ def save_table(table: BenchmarkTable, path: str | Path) -> None:
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     lines += [json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":")) for e in table.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_table(path: str | Path) -> BenchmarkTable:

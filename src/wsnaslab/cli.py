@@ -18,18 +18,16 @@ architecture), 4 missing or unreadable files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .bench import BenchmarkTable, build_micro_benchmark, load_table, save_table
 from .config import ExperimentConfig, load_config
 from .data import generate_dataset
+from .files import write_atomic, write_csv
 from .metrics import NA, REPORT_FIELDS, EvalRecord, MetricsReport, compute_report, rank_disorder
 from .nncore import finite_diff_check, load_checkpoint, named_rng, save_checkpoint, stream_key
 from .protocol import (
@@ -55,26 +53,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read(load, path, what: str):
+    """`load(path)`, with a missing or unreadable file as exit 4."""
     try:
-        return load_config(path)
+        return load(path)
     except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_IO) from e
-    except ValueError as e:
-        raise CliError(str(e), EXIT_CONFIG) from e
-
-
-def _load_table(path: str | Path) -> BenchmarkTable:
-    try:
-        return load_table(path)
-    except FileNotFoundError as e:
-        raise CliError(f"benchmark table not found: {path}", EXIT_IO) from e
+        raise CliError(f"{what} not found: {path}", EXIT_IO) from e
     except ValueError as e:
         raise CliError(str(e), EXIT_IO) from e
 
 
 def _matching_table(config: ExperimentConfig, bench_path: str | None) -> BenchmarkTable:
-    table = _load_table(bench_path or config.benchmark.path)
+    table = _read(load_table, bench_path or config.benchmark.path, "benchmark table")
     if table.spec != config.space:
         raise CliError(
             f"benchmark table was built for space {table.spec.space_id}, "
@@ -91,13 +81,6 @@ def derive_run_seed(seed: int, label: int) -> int:
     return int(stream_key("supernet-run", seed, label) & 0x7FFFFFFF)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -105,7 +88,7 @@ def _fmt(value) -> str:
 # ------------------------------------------------------------ enumerate
 
 def cmd_enumerate(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     index = enumerate_space(config.space)
     print(f"space {config.space.space_id}")
     print(f"raw encodings: {index.raw_count}")
@@ -126,7 +109,7 @@ def cmd_enumerate(args) -> int:
                 for h in index.hashes
             },
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -134,7 +117,7 @@ def cmd_enumerate(args) -> int:
 # ------------------------------------------------------- build-benchmark
 
 def cmd_build_benchmark(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     out = args.out or config.benchmark.path
     index = enumerate_space(config.space)
     total = index.unique_count * len(config.benchmark.run_seeds)
@@ -158,15 +141,9 @@ def cmd_build_benchmark(args) -> int:
 
 # ------------------------------------------------------------------ run
 
-def _sub_space_hashes(config: ExperimentConfig, index) -> list[str]:
-    """The architectures a sub-space super-net (fixed_k) can sample; all without one."""
-    k = config.supernet.fixed_k
-    return [h for h in index.hashes if k is None or index.representatives[h].output_in_degree() == k]
-
-
 def _select_eval_hashes(config: ExperimentConfig, index, seed: int) -> list[str]:
     """Architectures to rank; a sub-space super-net (fixed_k) ranks only its own."""
-    hashes = _sub_space_hashes(config, index)
+    hashes = list(index.hashes_with_output_degree(config.supernet.fixed_k))
     m = config.metrics.num_eval_archs
     if m < len(hashes):
         rng = named_rng(seed, "eval-archs")
@@ -232,23 +209,22 @@ def run_experiment(
     disorder = rank_disorder(records)
     gt_rank = {h: r for h, r, _ in disorder}
     sn_rank = {h: r for h, _, r in disorder}
-    _write_rows(
-        out_dir / "ranks.csv",
+    write_csv(out_dir / "ranks.csv", [
         ["arch_hash", "gt_accuracy", "supernet_mean", "gt_rank", "supernet_rank"],
-        [[r.arch_hash, _fmt(r.gt_accuracy), _fmt(r.supernet_mean), gt_rank[r.arch_hash], sn_rank[r.arch_hash]]
-         for r in sorted(records, key=lambda r: r.arch_hash)],
+        *([r.arch_hash, _fmt(r.gt_accuracy), _fmt(r.supernet_mean), gt_rank[r.arch_hash], sn_rank[r.arch_hash]]
+          for r in sorted(records, key=lambda r: r.arch_hash)),
+    ])
+    write_atomic(
+        out_dir / "config.json",
+        json.dumps({"config": config.to_dict(), "seed": seed}, indent=2, sort_keys=True) + "\n",
     )
-    (out_dir / "config.json").write_text(
-        json.dumps({"config": config.to_dict(), "seed": seed}, indent=2, sort_keys=True) + "\n"
-    )
-    for name in REPORT_FIELDS:
-        value = getattr(report, name)
-        print(f"{name}: {NA if value is None else _fmt(value)}")
+    for name, value in zip(REPORT_FIELDS, report.as_row()):
+        print(f"{name}: {value}")
     return report
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     table = _matching_table(config, args.bench)
     out_dir = Path(args.out or config.output.directory)
     run_experiment(config, args.seed, out_dir, table)
@@ -262,7 +238,7 @@ ABLATION_GRID = (("YY", True, True), ("YN", True, False), ("NN", False, False))
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     if config.space.channel_mode != "dynamic":
         raise CliError("the dynamic-channel sweep needs a dynamic-channel space", EXIT_CONFIG)
     if config.supernet.channel_strategy == "disabled":
@@ -270,7 +246,7 @@ def cmd_sweep(args) -> int:
     table = _matching_table(config, args.bench)
     out_dir = Path(args.out or config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows = [["variant", *REPORT_FIELDS]]
     for name, train_on, test_on in ABLATION_GRID:
         variant = dataclasses.replace(
             config.supernet, dynamic_channel_train=train_on, dynamic_channel_test=test_on
@@ -278,9 +254,8 @@ def cmd_sweep(args) -> int:
         vc = dataclasses.replace(config, supernet=variant)
         print(f"--- variant {name} (train slicing {train_on}, test slicing {test_on})")
         report = run_experiment(vc, args.seed, out_dir / name, table)
-        rows.append([name] + [NA if getattr(report, f) is None else _fmt(getattr(report, f))
-                              for f in REPORT_FIELDS])
-    _write_rows(out_dir / "sweep.csv", ["variant", *REPORT_FIELDS], rows)
+        rows.append([name, *report.as_row()])
+    write_csv(out_dir / "sweep.csv", rows)
     print(f"wrote {out_dir}/sweep.csv")
     return EXIT_OK
 
@@ -294,12 +269,7 @@ def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dat
             dataset, derive_run_seed(seed, config.eval.supernet_seeds[0]), index=index,
         )
         return sn
-    try:
-        store, header = load_checkpoint(ckpt)
-    except FileNotFoundError as e:
-        raise CliError(f"checkpoint not found: {ckpt}", EXIT_IO) from e
-    except ValueError as e:
-        raise CliError(str(e), EXIT_IO) from e
+    store, header = _read(load_checkpoint, ckpt, "checkpoint")
     if header is None:
         raise CliError(f"{ckpt} has no header record; not a super-net checkpoint", EXIT_MISMATCH)
     meta = json.loads(header)
@@ -317,7 +287,7 @@ def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dat
 
 
 def cmd_landscape(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     index = enumerate_space(config.space)
     dataset = generate_dataset(config.dataset, config.benchmark.base_seed)
     x_train, y_train, _, _ = dataset.split(config.protocol.train_portion)
@@ -331,19 +301,15 @@ def cmd_landscape(args) -> int:
     else:
         loss_fn = supernet_landscape_loss_fn(sn, x, y, num_paths=args.num_paths, seed=args.seed, index=index)
     grid = loss_landscape_grid(loss_fn, sn.store, args.seed, radius=args.radius, half_points=args.half_points)
-    out = Path(args.out)
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in grid:
-            writer.writerow(["nan" if np.isnan(v) else _fmt(v) for v in row])
-    print(f"wrote {out} ({grid.shape[0]}x{grid.shape[1]} grid)")
+    write_csv(args.out, [[_fmt(v) for v in row] for row in grid])
+    print(f"wrote {args.out} ({grid.shape[0]}x{grid.shape[1]} grid)")
     return EXIT_OK
 
 
 # ------------------------------------------------------------- histogram
 
 def cmd_histogram(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     index = enumerate_space(config.space)
     table = _matching_table(config, args.bench) if args.bench else None
     sampler = Sampler(config.protocol.sampler, config.space, index=index, k_filter=config.supernet.fixed_k)
@@ -351,19 +317,18 @@ def cmd_histogram(args) -> int:
     unknown = set(counts) - set(index.hashes)
     if unknown:
         raise CliError(f"sampler produced hashes outside the space: {sorted(unknown)[:3]}", EXIT_MISMATCH)
-    rows = []
+    rows = [["arch_hash", "count", "multiplicity", "gt_rank"]]
     for h in index.hashes:
         rank = table.gt_rank(h) if table is not None else NA
         rows.append([h, counts.get(h, 0), index.multiplicity[h], rank])
-    out = Path(args.out)
-    _write_rows(out, ["arch_hash", "count", "multiplicity", "gt_rank"], rows)
+    write_csv(args.out, rows)
     visits = sum(counts.values())
     scope = f"{index.unique_count} architectures"
     if config.supernet.fixed_k is not None:
-        reachable = len(_sub_space_hashes(config, index))
+        reachable = len(index.hashes_with_output_degree(config.supernet.fixed_k))
         scope = f"{reachable} architectures (fixed_k={config.supernet.fixed_k} sub-space of {index.unique_count})"
     print(f"{args.draws} draws, {visits} visits over {scope}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -416,7 +381,7 @@ def cmd_presets(args) -> int:
         raise CliError(f"unknown preset {args.name!r}; known: {names}", EXIT_CONFIG)
     text = root.joinpath(args.name + ".json").read_text()
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

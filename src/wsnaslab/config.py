@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SyntheticDatasetSpec
+from .files import write_atomic
 from .metrics import MetricConfig
 from .protocol import ProtocolConfig
 from .record import Record
@@ -96,7 +97,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 __all__ = [

@@ -46,10 +46,6 @@ class SyntheticDatasetSpec(Record, label="dataset"):
         if self.noise < 0:
             raise ValueError("noise must be non-negative")
 
-    @property
-    def pool_size(self) -> int:
-        return self.num_classes * self.samples_per_class
-
 
 def ninety_ten(n: int) -> int:
     """Size of the 90% side of a 90/10 split (floor, matching 1000 -> 900)."""

@@ -14,12 +14,13 @@ Rank convention: rank 1 is the highest accuracy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
+from .files import write_csv
 from .record import Record
 
 
@@ -210,16 +211,12 @@ class MetricsReport:
     p_surpass_random: float | None = None
     supernet_accuracy: float | None = None
     final_performance: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def as_row(self) -> list[str]:
         return [NA if getattr(self, f) is None else repr(float(getattr(self, f))) for f in REPORT_FIELDS]
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(REPORT_FIELDS)
-            writer.writerow(self.as_row())
+        write_csv(path, [REPORT_FIELDS, self.as_row()])
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "MetricsReport":

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..files import write_atomic
+
 MAGIC = b"NNPS"
 FORMAT_VERSION = 1
 
@@ -155,7 +157,6 @@ def save_checkpoint(store: ParamStore, path: str | Path, header: str | None = No
     u32 byte length, and the utf-8 header text, followed by the plain store
     block. Plain stores start directly with b"NNPS".
     """
-    path = Path(path)
     chunks: list[bytes] = []
     if header is not None:
         raw = header.encode("utf-8")
@@ -167,7 +168,7 @@ def save_checkpoint(store: ParamStore, path: str | Path, header: str | None = No
         chunks.append(struct.pack("<I", len(raw_key)) + raw_key)
         chunks.append(struct.pack("<I", value.ndim) + struct.pack(f"<{value.ndim}I", *value.shape))
         chunks.append(value.astype("<f4").tobytes(order="C"))
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path, seed: int = 0) -> tuple[ParamStore, str | None]:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
+from .files import write_csv
 from .nncore import named_rng
 from .record import Record
 from .sampling import SAMPLER_KINDS, Sampler
@@ -92,11 +93,9 @@ class TrainLog:
         self.entries.append({"epoch": epoch, "loss": loss, "lr": lr})
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "loss", "lr"])
-            for e in self.entries:
-                writer.writerow([e["epoch"], repr(float(e["loss"])), repr(float(e["lr"]))])
+        write_csv(path, [["epoch", "loss", "lr"]] + [
+            [e["epoch"], repr(float(e["loss"])), repr(float(e["lr"]))] for e in self.entries
+        ])
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "TrainLog":

@@ -1,4 +1,4 @@
-"""Strict JSON codec for the configuration dataclasses.
+"""Strict JSON codec for the configuration dataclasses and table entries.
 
 A dataclass that subclasses Record gets `to_dict` and `from_dict`. JSON keys
 are the field names. A missing key takes the field's default and an unknown
@@ -13,6 +13,7 @@ nested Record parses from an object.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
 
@@ -65,23 +66,28 @@ def _encode(value):
     return value
 
 
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, ...], dict]:
+    """Field names and resolved annotations of a Record class, resolved once."""
+    return tuple(f.name for f in dataclasses.fields(cls)), typing.get_type_hints(cls)
+
+
 class Record:
-    """Base of a config dataclass; `label` names it in error messages."""
+    """Base of a persisted dataclass; `label` names it in error messages."""
 
     def __init_subclass__(cls, label: str, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._label = label
 
     def to_dict(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {name: _encode(getattr(self, name)) for name in _fields(type(self))[0]}
 
     @classmethod
     def from_dict(cls, d: dict):
-        names = [f.name for f in dataclasses.fields(cls)]
+        names, hints = _fields(cls)
         unknown = set(d) - set(names)
         if unknown:
             raise ValueError(f"unknown {cls._label} keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
         kwargs = {}
         for name in names:
             if name in d:

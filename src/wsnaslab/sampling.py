@@ -73,9 +73,7 @@ def sample_random_a(
     k_filter: int | None = None,
 ) -> CellEncoding:
     """Uniform draw over unique architectures via the dedup index."""
-    hashes = index.hashes
-    if k_filter is not None:
-        hashes = [h for h in hashes if index.representatives[h].output_in_degree() == k_filter]
+    hashes = index.hashes_with_output_degree(k_filter)
     if not hashes:
         raise ValueError("no architectures match the sub-space filter")
     return index.representatives[hashes[int(rng.integers(0, len(hashes)))]]

@@ -108,7 +108,7 @@ def make_chain_space(spec: SearchSpaceSpec) -> SearchSpaceSpec:
 
 
 @dataclass(frozen=True)
-class CellEncoding:
+class CellEncoding(Record, label="encoding"):
     """One raw architecture encoding.
 
     edges: sorted tuple of (src, dst) with src < dst.
@@ -316,10 +316,24 @@ class EnumerationIndex:
 
     def __post_init__(self):
         self.hashes = sorted(self.representatives)
+        self._with_output_degree: dict[int | None, tuple[str, ...]] = {}
 
     @property
     def unique_count(self) -> int:
         return len(self.representatives)
+
+    def hashes_with_output_degree(self, k: int | None) -> tuple[str, ...]:
+        """Hashes whose output node has in-degree k, in `hashes` order; all for None.
+
+        Sub-space k is what a `fixed_k` super-net samples and ranks. Each
+        k is filtered once per index.
+        """
+        found = self._with_output_degree.get(k)
+        if found is None:
+            found = self._with_output_degree[k] = tuple(
+                h for h in self.hashes if k is None or self.representatives[h].output_in_degree() == k
+            )
+        return found
 
     def encoding_for(self, arch_hash: str) -> CellEncoding:
         return self.representatives[arch_hash]
@@ -376,11 +390,6 @@ def partition_by_output_edges(spec: SearchSpaceSpec, index: EnumerationIndex | N
         raise ValueError("partition_by_output_edges requires a dynamic channel_mode spec")
     if index is None:
         index = enumerate_space(spec)
-    buckets: dict[int, list[str]] = {}
-    for arch_hash in index.hashes:
-        k = index.representatives[arch_hash].output_in_degree()
-        buckets.setdefault(k, []).append(arch_hash)
-    return [
-        SubSpace(k=k, sub_space_id=f"k{k}", arch_hashes=tuple(sorted(buckets[k])))
-        for k in sorted(buckets)
-    ]
+    # the input->output edge is never in a space, so only the n intermediate nodes feed the output
+    by_k = {k: index.hashes_with_output_degree(k) for k in range(1, spec.n_nodes + 1)}
+    return [SubSpace(k=k, sub_space_id=f"k{k}", arch_hashes=hashes) for k, hashes in by_k.items() if hashes]

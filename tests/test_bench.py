@@ -207,8 +207,14 @@ def test_load_errors_carry_line_numbers(tmp_path):
     bad_entry = dict(json.loads(lines[1]))
     bad_entry["surprise"] = 1
     path.write_text("\n".join([lines[0], json.dumps(bad_entry)]) + "\n")
-    with pytest.raises(ValueError, match=r":2: bad entry"):
+    with pytest.raises(ValueError, match=r":2: bad entry: unknown entry keys"):
         load_table(path)
+
+    for key, value, kind in (("seed", "0", "int"), ("val_accuracy", True, "float"), ("param_count", 100.0, "int")):
+        bad_entry = dict(json.loads(lines[1]), **{key: value})
+        path.write_text("\n".join([lines[0], json.dumps(bad_entry)]) + "\n")
+        with pytest.raises(ValueError, match=rf":2: bad entry: entry.{key} must be {kind}"):
+            load_table(path)
 
     path.write_text(lines[0] + "\n")
     with pytest.raises(ValueError, match="no entries"):

@@ -130,6 +130,15 @@ def test_run_seed_changes_artifacts(workdir):
     assert a != c
 
 
+def test_run_with_corrupt_table_line_exits_4(workdir, tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.jsonl"
+    lines = (workdir / "bench.jsonl").read_text().splitlines()
+    corrupt.write_text("\n".join(lines[:2] + ['{"arch_hash": "truncated'] + lines[3:]) + "\n")
+    assert main(["run", "--config", config_path(workdir), "--bench", str(corrupt),
+                 "--out", str(tmp_path / "z")]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {corrupt}:3: bad entry")
+
+
 def test_run_with_mismatched_table_exits_3(workdir, tmp_path, capsys):
     d = tiny_config_dict(workdir)
     d["macro"]["init_channels"] = 8

@@ -107,6 +107,17 @@ def test_random_a_uniform_over_hashes():
     assert chi_square_uniform(list(counts.values()), draws) < chi2_cutoff(42)
 
 
+@pytest.mark.parametrize("k_filter", [None, 1, 2])
+def test_random_a_draws_follow_the_index_order(k_filter):
+    """The draw stream is the one of a filter over `index.hashes` in order."""
+    hashes = [h for h in INDEX.hashes
+              if k_filter is None or INDEX.representatives[h].output_in_degree() == k_filter]
+    rng, reference = named_rng(6, "a-stream"), named_rng(6, "a-stream")
+    for _ in range(30):
+        expected = INDEX.representatives[hashes[int(reference.integers(0, len(hashes)))]]
+        assert sample_random_a(INDEX, rng, k_filter=k_filter) == expected
+
+
 def test_random_a_k_filter_and_errors():
     rng = named_rng(5, "a-kfilter")
     for _ in range(50):

@@ -292,10 +292,18 @@ def test_partition_micro():
 
 
 def test_partition_matches_output_in_degree():
-    index = enumerate_space(MICRO)
-    for s in partition_by_output_edges(MICRO):
-        for h in s.arch_hashes:
-            assert index.representatives[h].output_in_degree() == s.k
+    for n_nodes in (1, 2, 3):
+        spec = SearchSpaceSpec(n_nodes=n_nodes)
+        index = enumerate_space(spec)
+        subs = partition_by_output_edges(spec, index)
+        assert [h for s in subs for h in s.arch_hashes] == sorted(
+            index.hashes, key=lambda h: (index.representatives[h].output_in_degree(), h))
+        for s in subs:
+            assert s.arch_hashes == index.hashes_with_output_degree(s.k)
+            for h in s.arch_hashes:
+                assert index.representatives[h].output_in_degree() == s.k
+        assert index.hashes_with_output_degree(None) == tuple(index.hashes)
+        assert index.hashes_with_output_degree(n_nodes + 1) == ()
 
 
 def test_partition_needs_dynamic_channels():
