@@ -173,7 +173,8 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     index = enumerate_space(config.space)
     hashes = _select_eval_hashes(config, index, seed)
-    missing = [h for h in hashes if h not in set(table.hashes())]
+    known = set(table.hashes())
+    missing = [h for h in hashes if h not in known]
     if missing:
         raise CliError(f"{len(missing)} evaluation architectures missing from the table", EXIT_MISMATCH)
     dataset = generate_dataset(config.dataset, config.benchmark.base_seed)

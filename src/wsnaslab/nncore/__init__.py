@@ -5,10 +5,14 @@ every reduction accumulates in float64 before casting back. The engine is
 deliberately tiny: a tape that is one list of nodes (output index, parent
 indices, backward closure over arrays only), a string-keyed parameter
 store with named deterministic init streams, and the dozen primitives the
-micro search spaces need. Convolutions are an im2col plus one float64
-matmul, and the conv3x3 backward pass is the same convolution with the
-kernel flipped. The tape holds no Value, so tapes and their activations
-are freed by reference counting, not by the cyclic collector.
+micro search spaces need. Convolutions are an im2col (one np.take of a
+cached tap index over the zero-padded grid) plus one float64 matmul, and
+the conv3x3 backward pass is the same convolution with the kernel
+flipped. relu is np.fmax(x, 0) + 0, the same bits as np.where(x > 0, x,
+0). The tape holds no Value, so tapes and their activations are freed by
+reference counting, not by the cyclic collector. An evaluation tape
+(Tape(..., record=False)) records no nodes at all and cannot be
+differentiated.
 """
 
 from .engine import (

@@ -5,7 +5,10 @@ Each primitive computes its output and pushes one node; backward(d_out)
 returns one gradient per parent (or None) and closes over arrays and
 shapes only. A Value points at its tape, but the tape holds no Value, so
 a forward leaves no reference cycle: the tape and its activations are
-freed by reference counting once the last Value and the tape go.
+freed by reference counting once the last Value and the tape go. A tape
+built with record=False (forward_path in eval mode) pushes no nodes, so
+it keeps no activation or backward closure alive and cannot be
+differentiated: its backward() raises.
 
 Conventions:
   * activations are (N, C, H, W) or (N, C) arrays at the tape dtype,
@@ -14,7 +17,11 @@ Conventions:
   * convolutions are stride 1, same padding, no bias (batch-norm follows);
     each is one float64 matmul over an im2col (a plain reshape for 1x1),
     and the conv3x3 input gradient is the same im2col + matmul applied to
-    d_out with the kernel flipped in space and its channel axes swapped,
+    d_out with the kernel flipped in space and its channel axes swapped;
+    the 3x3 im2col is one np.take of a cached (9, H*W) tap index over the
+    flattened zero-padded grid,
+  * relu is np.fmax(x, 0) + 0, bit for bit np.where(x > 0, x, 0): fmax
+    maps NaN to 0 and adding +0 turns -0.0 into +0.0,
   * avgpool3x3 divides by 9 including zero padding, so it stays a fixed
     linear stencil (a 3-row then 3-column shifted sum) and is its own
     transpose in the backward pass.
@@ -22,6 +29,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,12 +57,15 @@ class Tape:
     """Records forward nodes and walks them once in reverse.
 
     A tape is single-use: after backward() it is consumed and any further
-    forward or backward call raises.
+    forward or backward call raises. A tape built with record=False keeps
+    no nodes, so each activation is freed as soon as the next primitive
+    has used it; its backward() raises.
     """
 
-    def __init__(self, store: ParamStore | None = None, dtype=None):
+    def __init__(self, store: ParamStore | None = None, dtype=None, record: bool = True):
         self.store = store
         self.dtype = np.dtype(dtype) if dtype is not None else (store.dtype if store else np.dtype(np.float32))
+        self.record = record
         self._nodes: list[tuple[int, tuple[int, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
         self._params: dict[str, int] = {}
@@ -73,7 +85,8 @@ class Tape:
     def _push(self, data: np.ndarray, parents: Sequence[Value], backward: Callable) -> Value:
         """Record one primitive; backward(d_out) -> one gradient per parent (or None)."""
         out = self._new_value(data)
-        self._nodes.append((out.idx, tuple(p.idx for p in parents), backward))
+        if self.record:
+            self._nodes.append((out.idx, tuple(p.idx for p in parents), backward))
         return out
 
     def constant(self, data: np.ndarray) -> Value:
@@ -97,6 +110,8 @@ class Tape:
 
     def backward(self, loss: Value) -> None:
         self._check_live()
+        if not self.record:
+            raise RuntimeError("backward on a tape that records no nodes")
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
         grads = self._grads
@@ -151,19 +166,29 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+@functools.cache
+def _taps3(h: int, w: int) -> np.ndarray:
+    """Read-only (9, H*W) index into a flattened (H+2, W+2) padded grid:
+    entry [3*di + dj, i*W + j] is the flat position of (i + di, j + dj)."""
+    d = np.arange(3)
+    rows = np.arange(h)[None, :, None] + d[:, None, None]      # (di, i, 1)
+    cols = np.arange(w)[None, None, :] + d[:, None, None]      # (dj, 1, j)
+    taps = rows[:, None] * (w + 2) + cols[None, :]             # (di, dj, i, j)
+    taps = taps.reshape(9, h * w)
+    taps.flags.writeable = False
+    return taps
+
+
 def _im2col3(x: np.ndarray) -> np.ndarray:
     """(N, C, H, W) -> float64 (N, C*9, H*W) of zero-padded 3x3 neighborhoods.
 
     Row c*9 + 3*di + dj holds channel c shifted by (di - 1, dj - 1), the
-    layout of a (O, C, 3, 3) kernel reshaped to (O, C*9).
+    layout of a (O, C, 3, 3) kernel reshaped to (O, C*9). One np.take of
+    the cached tap index over the flattened padded grid.
     """
     n, c, h, w = x.shape
-    xp = _pad1(x)
-    cols = np.empty((n, c, 3, 3, h, w), dtype=np.float64)
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + w]
-    return cols.reshape(n, c * 9, h * w)
+    xp = _pad1(x).reshape(n, c, (h + 2) * (w + 2))
+    return np.take(xp, _taps3(h, w), axis=2).reshape(n, c * 9, h * w)
 
 
 def conv3x3(x: Value, weight: Value) -> Value:
@@ -256,13 +281,15 @@ def linear(x: Value, weight: Value, bias: Value) -> Value:
 
 
 def relu(x: Value) -> Value:
+    """max(x, 0) with NaN -> 0 and -0.0 -> +0.0, bit for bit the same as
+    np.where(x > 0, x, 0): fmax drops NaN and `+ 0` turns -0.0 into +0.0."""
     tape = _tape_of(x)
-    mask = x.data > 0
+    x_data = x.data
 
     def backward(d_out):
-        return (np.where(mask, d_out, 0),)
+        return (np.where(x_data > 0, d_out, 0),)
 
-    return tape._push(np.where(mask, x.data, 0), (x,), backward)
+    return tape._push(np.fmax(x_data, 0) + 0, (x,), backward)
 
 
 def global_pool(x: Value) -> Value:
@@ -324,15 +351,18 @@ def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
         raise ValueError(f"channel_pad cannot shrink {current} -> {target}")
     if current == target:
         return x
-    pad = [(0, 0)] * x.data.ndim
-    pad[axis] = (0, target - current)
     keep = [slice(None)] * x.data.ndim
     keep[axis] = slice(0, current)
+    keep = tuple(keep)
+    shape = list(x.data.shape)
+    shape[axis] = target
+    out = np.zeros(shape, dtype=x.data.dtype)
+    out[keep] = x.data
 
     def backward(d_out):
-        return (d_out[tuple(keep)],)
+        return (d_out[keep],)
 
-    return tape._push(np.pad(x.data, pad), (x,), backward)
+    return tape._push(out, (x,), backward)
 
 
 def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
@@ -344,12 +374,11 @@ def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = idx
     sl = tuple(sl)
-    # wrap negative indices first, so -1 and n-1 count as one index
-    distinct = np.unique(np.arange(shape[axis])[idx]).size == idx.size
 
     def backward(d_out):
         d_x = np.zeros(shape, dtype=np.float64)
-        if distinct:
+        # wrap negative indices first, so -1 and n-1 count as one index
+        if np.unique(np.arange(shape[axis])[idx]).size == idx.size:
             d_x[sl] = d_out
         else:
             np.add.at(d_x, sl, _f64(d_out))
@@ -362,13 +391,17 @@ def mix_axis(x: Value, mat: np.ndarray, axis: int) -> Value:
     """Linear map along an axis with a constant matrix (rows = outputs)."""
     tape = _tape_of(x)
     m64 = _f64(mat)
-    if m64.shape[1] != x.data.shape[axis]:
-        raise ValueError(f"mix_axis: matrix {m64.shape} does not match axis size {x.data.shape[axis]}")
+    shape = x.data.shape
+    if m64.shape[1] != shape[axis]:
+        raise ValueError(f"mix_axis: matrix {m64.shape} does not match axis size {shape[axis]}")
+    # (pre, C, post) view: one stacked matmul maps the middle axis
+    pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    out_shape = shape[:axis] + (m64.shape[0],) + shape[axis + 1 :]
 
     def backward(d_out):
-        return (np.moveaxis(np.tensordot(m64.T, _f64(d_out), axes=([1], [axis])), 0, axis),)
+        return ((m64.T @ _f64(d_out).reshape(pre, m64.shape[0], post)).reshape(shape),)
 
-    out_data = np.moveaxis(np.tensordot(m64, _f64(x.data), axes=([1], [axis])), 0, axis)
+    out_data = (m64 @ _f64(x.data).reshape(pre, shape[axis], post)).reshape(out_shape)
     return tape._push(out_data, (x,), backward)
 
 
@@ -478,14 +511,18 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
     if c > state.channels:
         raise ValueError(f"batchnorm input has {c} channels, state allocates {state.channels}")
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
+    shape = (1, c) if x.data.ndim == 2 else (1, c, 1, 1)
     use_batch = train or bn_mode == "batch"
+    x64 = _f64(x.data)
 
     if use_batch:
         if x.data.shape[0] < 2:
             raise ValueError("batch statistics need batch size >= 2")
-        x64 = _f64(x.data)
-        mean = x64.mean(axis=axes)
-        var = x64.var(axis=axes)
+        # numpy's own mean and var algorithm, with one centred pass
+        count = x.data.size // c
+        mean = x64.sum(axis=axes) / count
+        centered = x64 - mean.reshape(shape)
+        var = (centered * centered).sum(axis=axes) / count
         if train and state.track:
             mu = store.get(state.key + "/mean")
             sig = store.get(state.key + "/var")
@@ -497,10 +534,10 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
             raise ValueError(f"tracked evaluation requested but {state.key!r} tracks no statistics")
         mean = _f64(store.get(state.key + "/mean")[:c])
         var = _f64(store.get(state.key + "/var")[:c])
+        centered = x64 - mean.reshape(shape)
 
-    shape = (1, c) if x.data.ndim == 2 else (1, c, 1, 1)
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = (_f64(x.data) - mean.reshape(shape)) * inv_std.reshape(shape)
+    x_hat = centered * inv_std.reshape(shape)
 
     affine = state.affine
     if affine:

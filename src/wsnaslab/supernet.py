@@ -18,6 +18,7 @@ so their forwards agree bitwise with the shared builder at equal seeds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,8 +304,11 @@ def select_path(sn: SuperNet, enc: CellEncoding, train: bool = True) -> PathSele
 
 # ---------------------------------------------------------------- slicing
 
+@functools.cache
 def interpolation_matrix(c_max: int, c: int) -> np.ndarray:
-    """Moving-average resampling map: row j averages its source window."""
+    """Moving-average resampling map: row j averages its source window.
+
+    Cached per (c_max, c) and read-only."""
     if c > c_max:
         raise ValueError(f"cannot interpolate {c_max} channels up to {c}")
     mat = np.zeros((c, c_max), dtype=np.float64)
@@ -312,6 +316,7 @@ def interpolation_matrix(c_max: int, c: int) -> np.ndarray:
         lo = (j * c_max) // c
         hi = ((j + 1) * c_max) // c
         mat[j, lo:hi] = 1.0 / (hi - lo)
+    mat.flags.writeable = False
     return mat
 
 
@@ -459,6 +464,8 @@ def forward_path(
     """Run one architecture through the shared weights.
 
     Returns (logits, tape); tape.param_keys() lists the touched parameters.
+    An eval forward (train=False) runs on a tape that records no nodes, so
+    it frees activations as it goes and cannot be backpropagated.
     An rng is required when the forward is stochastic (dropout in train
     mode, or the shuffle channel strategy).
     """
@@ -468,7 +475,7 @@ def forward_path(
     )
     if needs_rng and rng is None:
         raise ValueError("this configuration needs an rng for forward_path")
-    tape = Tape(sn.store)
+    tape = Tape(sn.store, record=train)
     h = nn.conv3x3(tape.input(x), tape.param("stem/conv/weight"))
     h = nn.batchnorm(h, sn.bn_states["stem/bn"], train=train, bn_mode=bn_mode)
     h = nn.relu(h)

@@ -147,6 +147,17 @@ def test_run_with_mismatched_table_exits_3(workdir, tmp_path, capsys):
     assert main(["run", "--config", str(other), "--out", str(tmp_path / "x")]) == 3
 
 
+def test_run_with_architectures_missing_from_the_table_exits_3(workdir, tmp_path, capsys):
+    partial = tmp_path / "partial.jsonl"
+    lines = (workdir / "bench.jsonl").read_text().splitlines()
+    dropped = json.loads(lines[1])["arch_hash"]  # line 0 is the header
+    kept = lines[:1] + [line for line in lines[1:] if json.loads(line)["arch_hash"] != dropped]
+    partial.write_text("\n".join(kept) + "\n")
+    assert main(["run", "--config", config_path(workdir), "--bench", str(partial),
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "1 evaluation architectures missing from the table" in capsys.readouterr().err
+
+
 def test_run_tracked_eval_without_tracking_exits_2(workdir, tmp_path, capsys):
     d = tiny_config_dict(workdir)
     d["eval"]["bn_mode"] = "tracked"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -22,7 +23,7 @@ from wsnaslab.nncore import (
 )
 from wsnaslab.protocol import evaluate_path
 from wsnaslab.searchspace import enumerate_space
-from wsnaslab.supernet import build_supernet, path_loss
+from wsnaslab.supernet import build_supernet, interpolation_matrix, path_loss
 
 TOL = 1e-6  # float64 central differences are tight
 
@@ -391,34 +392,118 @@ def _oracle_avgpool3x3(x, d_out):
     return stencil(x), stencil(d_out)
 
 
-@pytest.mark.parametrize("c", [8, 4, 2])
+@pytest.mark.parametrize("c", [8, 4, 2, 1])
 def test_conv_and_pool_match_the_einsum_formulation(c):
     """Forwards are bitwise equal to the einsum + im2col/col2im oracle at
-    preset shapes on a float32 tape; gradients agree to rtol 1e-6."""
+    preset shapes on a float32 tape; gradients agree to rtol 1e-6. N=13 is
+    the second evaluation span, C=1 the stem input, and 5x7 a non-square
+    grid."""
     rng = named_rng(c, "conv-parity")
-    x = rng.standard_normal((32, c, 8, 8)).astype(np.float32)
-    w3 = (rng.standard_normal((c, c, 3, 3)) / 3.0).astype(np.float32)
-    w1 = (rng.standard_normal((c, c)) / 2.0).astype(np.float32)
-    d_out = rng.standard_normal((32, c, 8, 8)).astype(np.float32)
+    for n, h, w in ((32, 8, 8), (13, 8, 8), (13, 5, 7)):
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        w3 = (rng.standard_normal((c, c, 3, 3)) / 3.0).astype(np.float32)
+        w1 = (rng.standard_normal((c, c)) / 2.0).astype(np.float32)
+        d_out = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        cases = [
+            (nn.conv3x3, (x, w3), _oracle_conv3x3(x, w3, d_out)),
+            (nn.conv1x1, (x, w1), _oracle_conv1x1(x, w1, d_out)),
+            (nn.avgpool3x3, (x,), _oracle_avgpool3x3(x, d_out)),
+        ]
+        for op, arrays, (want_out, *want_grads) in cases:
+            out, grads = _run_f32(op, arrays, d_out)
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out, want_out, err_msg=f"{op.__name__} {x.shape}")
+            for got, want in zip(grads, want_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"{op.__name__} {x.shape}")
 
-    def run(op, *arrays):
-        tape = Tape(dtype=np.float32)
-        leaves = [tape.input(a) for a in arrays]
-        out = op(*leaves)
-        tape.backward(nn.reduce_sum(nn.mul_mask(out, d_out)))
-        return out.data, [tape.input_grad(v) for v in leaves]
 
-    cases = [
-        (nn.conv3x3, (x, w3), _oracle_conv3x3(x, w3, d_out)),
-        (nn.conv1x1, (x, w1), _oracle_conv1x1(x, w1, d_out)),
-        (nn.avgpool3x3, (x,), _oracle_avgpool3x3(x, d_out)),
-    ]
-    for op, arrays, (want_out, *want_grads) in cases:
-        out, grads = run(op, *arrays)
-        assert out.dtype == np.float32
-        np.testing.assert_array_equal(out, want_out, err_msg=op.__name__)
-        for got, want in zip(grads, want_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=op.__name__)
+def _run_f32(op, arrays, d_out):
+    """op on float32 input leaves; returns its output and the leaves'
+    gradients under the readout sum(out * d_out)."""
+    tape = Tape(dtype=np.float32)
+    leaves = [tape.input(a) for a in arrays]
+    out = op(*leaves)
+    tape.backward(nn.reduce_sum(nn.mul_mask(out, d_out)))
+    return out.data, [tape.input_grad(v) for v in leaves]
+
+
+def _bits_equal(got, want):
+    assert got.dtype == want.dtype and got.dtype.kind == "f" and got.shape == want.shape
+    bits = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+# ------------------------------------- fast paths against the old formulas
+
+def test_relu_matches_the_where_formulation_bit_for_bit():
+    special = np.array(
+        [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1.5, -2.5], dtype=np.float32
+    )
+    x = np.concatenate([special, named_rng(0, "relu").standard_normal(54).astype(np.float32)])
+    d_out = np.concatenate([special[::-1], named_rng(1, "relu").standard_normal(54).astype(np.float32)])
+    with np.errstate(invalid="ignore"):  # the readout multiplies 0 by inf
+        out, (grad,) = _run_f32(nn.relu, (x,), d_out)
+    _bits_equal(out, np.where(x > 0, x, 0))
+    # the readout hands relu d_out * 1.0, which keeps every bit of d_out
+    _bits_equal(grad, np.where(x > 0, d_out, 0).astype(np.float32))
+
+
+@pytest.mark.parametrize("n", [32, 13])
+def test_batch_statistics_match_numpy_mean_and_var(n):
+    """Bitwise at float32 (the tape dtype) and float64, where a different
+    variance formula would show in the last bits."""
+    eps = 1e-5
+    for dtype, c in itertools.product((np.float32, np.float64), (8, 4, 2)):
+        rng = named_rng(10 * n + c, "bn-exact")
+        x = (rng.standard_normal((n, c, 8, 8)) * 3.0 + 1.5).astype(dtype)
+        store = ParamStore(seed=0, dtype=dtype)
+        state = BNState("bn", channels=8, affine=True, track=True, momentum=0.9, eps=eps)
+        state.create_params(store)
+        store.set("bn/scale", rng.standard_normal(8).astype(dtype))
+        store.set("bn/shift", rng.standard_normal(8).astype(dtype))
+        x64 = x.astype(np.float64)
+        mean, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+        x_hat = (x64 - mean.reshape(1, c, 1, 1)) * (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
+        scale = store.get("bn/scale")[:c].astype(np.float64).reshape(1, c, 1, 1)
+        shift = store.get("bn/shift")[:c].astype(np.float64).reshape(1, c, 1, 1)
+        want = (x_hat * scale + shift).astype(dtype)
+        mu0, sig0 = store.get("bn/mean").copy(), store.get("bn/var").copy()
+        for train in (False, True):
+            out = nn.batchnorm(Tape(store).input(x), state, train=train, bn_mode="batch")
+            _bits_equal(out.data, want)
+        g = state.momentum
+        want_mu = (g * mu0[:c].astype(np.float64) + (1 - g) * mean).astype(dtype)
+        want_sig = (g * sig0[:c].astype(np.float64) + (1 - g) * var).astype(dtype)
+        _bits_equal(store.get("bn/mean")[:c], want_mu)
+        _bits_equal(store.get("bn/var")[:c], want_sig)
+
+
+def test_mix_axis_matches_the_tensordot_formulation_bit_for_bit():
+    rng = named_rng(0, "mix-exact")
+    weight = (rng.standard_normal((8, 8, 3, 3)) / 3.0).astype(np.float32)
+    act = rng.standard_normal((32, 8, 8, 8)).astype(np.float32)
+    for x, axis in ((weight, 0), (act, 1)):
+        for mat in (interpolation_matrix(8, 3), interpolation_matrix(8, 4),
+                    interpolation_matrix(8, 2), rng.standard_normal((5, 8))):
+            shape = list(x.shape)
+            shape[axis] = mat.shape[0]
+            d_out = rng.standard_normal(shape).astype(np.float32)
+            out, (grad,) = _run_f32(lambda v: nn.mix_axis(v, mat, axis), (x,), d_out)
+            want = np.moveaxis(np.tensordot(mat, x.astype(np.float64), axes=([1], [axis])), 0, axis)
+            want_grad = np.moveaxis(
+                np.tensordot(mat.T, d_out.astype(np.float64), axes=([1], [axis])), 0, axis
+            )
+            _bits_equal(out, want.astype(np.float32))
+            _bits_equal(grad, want_grad.astype(np.float32))
+
+
+def test_channel_pad_matches_np_pad():
+    x = named_rng(0, "pad").standard_normal((4, 3, 5, 5)).astype(np.float32)
+    tape = Tape(dtype=np.float32)
+    for axis, target in ((1, 8), (0, 6), (3, 7)):
+        pad = [(0, 0)] * 4
+        pad[axis] = (0, target - x.shape[axis])
+        _bits_equal(nn.channel_pad(tape.input(x), target, axis=axis).data, np.pad(x, pad))
 
 
 # ------------------------------------------------------------------- BN

@@ -191,6 +191,25 @@ def test_concat_wider_than_its_target_is_cut_by_the_channel_strategy():
         assert np.all(np.isfinite(logits.data))
 
 
+def test_eval_forward_records_nothing_and_cannot_backpropagate():
+    sn = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=3)
+    x, y = batch(5)
+    logits, tape = forward_path(sn, PARALLEL, x, train=False)
+    assert np.all(np.isfinite(logits.data))
+    assert tape._nodes == []
+    assert set(tape.param_keys()) == set(select_path(sn, PARALLEL, train=False).keys)
+    loss = nn.cross_entropy(logits, y)
+    with pytest.raises(RuntimeError, match="records no nodes"):
+        tape.backward(loss)
+
+    loss, tape = path_loss(sn, PARALLEL, x, y, train=True)
+    assert tape._nodes
+    tape.backward(loss)
+    for key in tape.param_keys():
+        if not sn.store.is_buffer(key):
+            assert sn.store.grad(key) is not None, key
+
+
 def test_sum_merge_space_forward():
     sn = build_supernet(EDGE2, MACRO, SuperNetConfig(), seed=2)
     x, _ = batch(2)
