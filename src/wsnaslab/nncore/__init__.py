@@ -10,9 +10,11 @@ cached tap index over the zero-padded grid) plus one float64 matmul, and
 the conv3x3 backward pass is the same convolution with the kernel
 flipped. relu is np.fmax(x, 0) + 0, the same bits as np.where(x > 0, x,
 0). The tape holds no Value, so tapes and their activations are freed by
-reference counting, not by the cyclic collector. An evaluation tape
-(Tape(..., record=False)) records no nodes at all and cannot be
-differentiated.
+reference counting, not by the cyclic collector. Only inputs and
+parameters carry gradient: constants (such as the training batch) and
+everything computed from constants alone get none, and no backward work
+is done for them. An evaluation tape (Tape(..., record=False)) records no
+nodes at all and cannot be differentiated.
 """
 
 from .engine import (

@@ -10,6 +10,12 @@ built with record=False (forward_path in eval mode) pushes no nodes, so
 it keeps no activation or backward closure alive and cannot be
 differentiated: its backward() raises.
 
+Only inputs and parameters need gradients; a value needs one only if some
+parent does. Constants (the training batch in forward_path, zero_op
+outputs) carry none: a primitive whose parents need none records no node,
+the backward closures compute nothing for such parents, and backward()
+stores nothing for them.
+
 Conventions:
   * activations are (N, C, H, W) or (N, C) arrays at the tape dtype,
   * every reduction (matmul contractions, means, sums) runs in float64 and
@@ -17,9 +23,13 @@ Conventions:
   * convolutions are stride 1, same padding, no bias (batch-norm follows);
     each is one float64 matmul over an im2col (a plain reshape for 1x1),
     and the conv3x3 input gradient is the same im2col + matmul applied to
-    d_out with the kernel flipped in space and its channel axes swapped;
-    the 3x3 im2col is one np.take of a cached (9, H*W) tap index over the
+    d_out with the kernel flipped in space and its channel axes swapped,
+    written over the forward's im2col when the shapes agree; the 3x3
+    im2col is one np.take of a cached (9, H*W) tap index over the
     flattened zero-padded grid,
+  * batchnorm centres and scales a private float64 copy of its input in
+    place and builds d_x in place, in the same operation order as the
+    out-of-place formulas, so the results are bit for bit theirs,
   * relu is np.fmax(x, 0) + 0, bit for bit np.where(x > 0, x, 0): fmax
     maps NaN to 0 and adding +0 turns -0.0 into +0.0,
   * avgpool3x3 divides by 9 including zero padding, so it stays a fixed
@@ -39,14 +49,16 @@ import numpy as np
 from .params import ParamStore
 
 class Value:
-    """A node in the computation graph: array data plus a tape position."""
+    """A node in the computation graph: array data, a tape position, and
+    whether a gradient must flow back to it (needs_grad)."""
 
-    __slots__ = ("data", "tape", "idx")
+    __slots__ = ("data", "tape", "idx", "needs_grad")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", idx: int):
+    def __init__(self, data: np.ndarray, tape: "Tape", idx: int, needs_grad: bool):
         self.data = data
         self.tape = tape
         self.idx = idx
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -66,7 +78,7 @@ class Tape:
         self.store = store
         self.dtype = np.dtype(dtype) if dtype is not None else (store.dtype if store else np.dtype(np.float32))
         self.record = record
-        self._nodes: list[tuple[int, tuple[int, ...], Callable]] = []
+        self._nodes: list[tuple[int, tuple[int | None, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
         self._params: dict[str, int] = {}
         self._next = 0
@@ -76,26 +88,32 @@ class Tape:
         if self.consumed:
             raise RuntimeError("tape reused after consumption")
 
-    def _new_value(self, data: np.ndarray) -> Value:
+    def _new_value(self, data: np.ndarray, needs_grad: bool) -> Value:
         self._check_live()
-        v = Value(np.asarray(data, dtype=self.dtype), self, self._next)
+        v = Value(np.asarray(data, dtype=self.dtype), self, self._next, needs_grad)
         self._next += 1
         return v
 
     def _push(self, data: np.ndarray, parents: Sequence[Value], backward: Callable) -> Value:
-        """Record one primitive; backward(d_out) -> one gradient per parent (or None)."""
-        out = self._new_value(data)
-        if self.record:
-            self._nodes.append((out.idx, tuple(p.idx for p in parents), backward))
+        """Record one primitive; backward(d_out) -> one gradient per parent (or None).
+
+        The output needs a gradient only if some parent does; a node whose
+        parents need none is not recorded, and a parent that needs none is
+        recorded as None, so backward() stores no gradient for it.
+        """
+        out = self._new_value(data, any(p.needs_grad for p in parents))
+        if self.record and out.needs_grad:
+            self._nodes.append((out.idx, tuple(p.idx if p.needs_grad else None for p in parents), backward))
         return out
 
     def constant(self, data: np.ndarray) -> Value:
-        """A node that never receives or propagates gradient."""
-        return self._new_value(data)
+        """A leaf that carries no gradient: backward() stores none for it,
+        and primitives skip the gradient work for it (input_grad() is None)."""
+        return self._new_value(data, False)
 
     def input(self, data: np.ndarray) -> Value:
-        """A leaf whose gradient is retrievable via input_grad()."""
-        return self._new_value(data)
+        """A leaf that needs a gradient, retrievable via input_grad()."""
+        return self._new_value(data, True)
 
     def param(self, key: str) -> Value:
         """Leaf tied to a store parameter; backward accumulates store grads."""
@@ -103,8 +121,8 @@ class Tape:
         if self.store is None:
             raise RuntimeError("tape has no parameter store")
         if key in self._params:
-            return Value(np.asarray(self.store.get(key), dtype=self.dtype), self, self._params[key])
-        v = self._new_value(self.store.get(key))
+            return Value(np.asarray(self.store.get(key), dtype=self.dtype), self, self._params[key], True)
+        v = self._new_value(self.store.get(key), True)
         self._params[key] = v.idx
         return v
 
@@ -121,7 +139,7 @@ class Tape:
             if d_out is None:
                 continue
             for parent, contrib in zip(parents, node_backward(d_out)):
-                if contrib is None:
+                if parent is None or contrib is None:
                     continue
                 prev = grads.get(parent)
                 if prev is None:
@@ -179,16 +197,22 @@ def _taps3(h: int, w: int) -> np.ndarray:
     return taps
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
+def _im2col3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(N, C, H, W) -> float64 (N, C*9, H*W) of zero-padded 3x3 neighborhoods.
 
     Row c*9 + 3*di + dj holds channel c shifted by (di - 1, dj - 1), the
     layout of a (O, C, 3, 3) kernel reshaped to (O, C*9). One np.take of
-    the cached tap index over the flattened padded grid.
+    the cached tap index over the flattened padded grid, written into
+    `out` (a C-contiguous float64 array of the result's shape) when given.
     """
     n, c, h, w = x.shape
     xp = _pad1(x).reshape(n, c, (h + 2) * (w + 2))
-    return np.take(xp, _taps3(h, w), axis=2).reshape(n, c * 9, h * w)
+    if out is None:
+        return np.take(xp, _taps3(h, w), axis=2).reshape(n, c * 9, h * w)
+    # the indices are in range, so mode="clip" only spares the buffer that
+    # mode="raise" takes the result through before copying it into out
+    np.take(xp, _taps3(h, w), axis=2, out=out.reshape(n, c, 9, h * w), mode="clip")
+    return out
 
 
 def conv3x3(x: Value, weight: Value) -> Value:
@@ -197,7 +221,8 @@ def conv3x3(x: Value, weight: Value) -> Value:
     Forward is one (O, C*9) @ (N, C*9, H*W) matmul over the im2col. The
     adjoint of a same-padding stride-1 convolution is the same convolution
     with the kernel flipped in space and its channel axes swapped, so d_x
-    reuses the im2col + matmul on d_out.
+    reuses the im2col + matmul on d_out. Once d_w is made the forward's
+    im2col is spent: when O == C, d_out's im2col is written over it.
     """
     tape = _tape_of(x, weight)
     if x.data.ndim != 4 or weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
@@ -208,12 +233,16 @@ def conv3x3(x: Value, weight: Value) -> Value:
     n, c, h, w = x.data.shape
     o = w_data.shape[0]
     cols = _im2col3(x.data)
+    need_w, need_x = weight.needs_grad, x.needs_grad
 
     def backward(d_out):
-        d_flat = _f64(d_out).reshape(n, o, h * w)
-        d_w = (d_flat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_data.shape)
-        w_adj = _f64(w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, o * 9)
-        d_x = (w_adj @ _im2col3(d_out)).reshape(n, c, h, w)
+        d_w = d_x = None
+        if need_w:
+            d_flat = _f64(d_out).reshape(n, o, h * w)
+            d_w = (d_flat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_data.shape)
+        if need_x:
+            w_adj = _f64(w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, o * 9)
+            d_x = (w_adj @ _im2col3(d_out, out=cols if o == c else None)).reshape(n, c, h, w)
         return d_w, d_x
 
     out = (_f64(w_data).reshape(o, c * 9) @ cols).reshape(n, o, h, w)
@@ -231,11 +260,12 @@ def conv1x1(x: Value, weight: Value) -> Value:
     o = weight.data.shape[0]
     x_flat = _f64(x.data).reshape(n, c, h * w)
     w64 = _f64(weight.data)
+    need_w, need_x = weight.needs_grad, x.needs_grad
 
     def backward(d_out):
         d_flat = _f64(d_out).reshape(n, o, h * w)
-        d_w = (d_flat @ x_flat.transpose(0, 2, 1)).sum(axis=0)
-        d_x = (w64.T @ d_flat).reshape(n, c, h, w)
+        d_w = (d_flat @ x_flat.transpose(0, 2, 1)).sum(axis=0) if need_w else None
+        d_x = (w64.T @ d_flat).reshape(n, c, h, w) if need_x else None
         return d_w, d_x
 
     return tape._push((w64 @ x_flat).reshape(n, o, h, w), (weight, x), backward)
@@ -272,10 +302,15 @@ def linear(x: Value, weight: Value, bias: Value) -> Value:
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ValueError(f"linear shapes: x {x.data.shape}, weight {weight.data.shape}")
     x_data, w_data = x.data, weight.data
+    need_w, need_b, need_x = weight.needs_grad, bias.needs_grad, x.needs_grad
 
     def backward(d_out):
         d64 = _f64(d_out)
-        return _f64(x_data).T @ d64, d64.sum(axis=0), d64 @ _f64(w_data).T
+        return (
+            _f64(x_data).T @ d64 if need_w else None,
+            d64.sum(axis=0) if need_b else None,
+            d64 @ _f64(w_data).T if need_x else None,
+        )
 
     return tape._push(_f64(x_data) @ _f64(w_data) + _f64(bias.data), (weight, bias, x), backward)
 
@@ -432,10 +467,11 @@ def matmul2d(a: Value, b: Value) -> Value:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul2d shapes: {a.data.shape} @ {b.data.shape}")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.needs_grad, b.needs_grad
 
     def backward(d_out):
         d64 = _f64(d_out)
-        return d64 @ _f64(b_data).T, _f64(a_data).T @ d64
+        return d64 @ _f64(b_data).T if need_a else None, _f64(a_data).T @ d64 if need_b else None
 
     return tape._push(_f64(a_data) @ _f64(b_data), (a, b), backward)
 
@@ -513,16 +549,19 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
     shape = (1, c) if x.data.ndim == 2 else (1, c, 1, 1)
     use_batch = train or bn_mode == "batch"
-    x64 = _f64(x.data)
+    # a private float64 copy of x, centred and then scaled in place into x_hat
+    x_hat = x.data.astype(np.float64)
+    squares = None
 
     if use_batch:
         if x.data.shape[0] < 2:
             raise ValueError("batch statistics need batch size >= 2")
         # numpy's own mean and var algorithm, with one centred pass
         count = x.data.size // c
-        mean = x64.sum(axis=axes) / count
-        centered = x64 - mean.reshape(shape)
-        var = (centered * centered).sum(axis=axes) / count
+        mean = x_hat.sum(axis=axes) / count
+        x_hat -= mean.reshape(shape)
+        squares = x_hat * x_hat
+        var = squares.sum(axis=axes) / count
         if train and state.track:
             mu = store.get(state.key + "/mean")
             sig = store.get(state.key + "/var")
@@ -534,10 +573,10 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
             raise ValueError(f"tracked evaluation requested but {state.key!r} tracks no statistics")
         mean = _f64(store.get(state.key + "/mean")[:c])
         var = _f64(store.get(state.key + "/var")[:c])
-        centered = x64 - mean.reshape(shape)
+        x_hat -= mean.reshape(shape)
 
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = centered * inv_std.reshape(shape)
+    x_hat *= inv_std.reshape(shape)
 
     affine = state.affine
     if affine:
@@ -547,24 +586,39 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
             scale_v = take_axis(scale_v, np.arange(c), 0)
             shift_v = take_axis(shift_v, np.arange(c), 0)
         scale = _f64(scale_v.data).reshape(shape)
-        out_data = x_hat * scale + _f64(shift_v.data).reshape(shape)
+        # the affine result goes into the squares buffer, spent once var is made
+        out_data = np.multiply(x_hat, scale, out=squares)
+        out_data += _f64(shift_v.data).reshape(shape)
         parents = (scale_v, shift_v, x)
     else:
         out_data = x_hat
         parents = (x,)
+    need_x = x.needs_grad
 
     def backward(d_out):
+        # d_x = inv_std * (d_hat - m1 - x_hat * m2) is built in place in
+        # d_hat, which must not alias d_out; one scratch array holds
+        # d64 * x_hat, d_hat * x_hat and x_hat * m2 in turn
         d64 = _f64(d_out)
-        d_hat = d64 * scale if affine else d64
+        scratch = None
+        grads = ()
+        if affine:
+            scratch = d64 * x_hat
+            grads = (scratch.sum(axis=axes), d64.sum(axis=axes))
+        if not need_x:
+            return grads + (None,)
+        if affine:
+            d_hat = d64 * scale
+        else:
+            d_hat = np.array(d64) if d64 is d_out else d64
         if use_batch:
             m1 = d_hat.mean(axis=axes).reshape(shape)
-            m2 = (d_hat * x_hat).mean(axis=axes).reshape(shape)
-            d_x = inv_std.reshape(shape) * (d_hat - m1 - x_hat * m2)
-        else:
-            d_x = d_hat * inv_std.reshape(shape)
-        if affine:
-            return (d64 * x_hat).sum(axis=axes), d64.sum(axis=axes), d_x
-        return (d_x,)
+            scratch = np.multiply(d_hat, x_hat, out=scratch)
+            m2 = scratch.mean(axis=axes).reshape(shape)
+            d_hat -= m1
+            d_hat -= np.multiply(x_hat, m2, out=scratch)
+        d_hat *= inv_std.reshape(shape)
+        return grads + (d_hat,)
 
     return tape._push(out_data, parents, backward)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,11 +237,13 @@ def is_valid(spec: SearchSpaceSpec, enc: CellEncoding) -> bool:
 # -------------------------------------------------------- canonical hashing
 
 def _mix(*parts: int) -> int:
-    """Endian-fixed 64-bit mixing: blake2b-8 over little-endian u64 words."""
-    h = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        h.update(int(p & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
+    """Endian-fixed 64-bit mixing: blake2b-8 over little-endian u64 words.
+
+    Every part is a hash, an op label or a count, so each fits a u64
+    (struct.pack raises otherwise).
+    """
+    words = struct.pack(f"<{len(parts)}Q", *parts)
+    return int.from_bytes(hashlib.blake2b(words, digest_size=8).digest(), "little")
 
 
 _ROLE_INPUT = 0x1D
@@ -255,7 +258,9 @@ def canonical_hash(spec: SearchSpaceSpec, enc: CellEncoding) -> str:
     Iterative neighborhood refinement: each node starts from (role, op)
     and absorbs, for n + 2 rounds, the sorted multisets of its in- and
     out-neighbor hashes combined with the connecting edge's op label. The
-    final hash mixes the sorted node hashes. 16 hex characters.
+    final hash mixes the sorted node hashes. 16 hex characters. Without
+    edge ops every edge end of a node mixes the same label, so each node
+    hash is mixed with it once per round.
     """
     reasons = validate_encoding(spec, enc)
     if reasons:
@@ -268,20 +273,27 @@ def canonical_hash(spec: SearchSpaceSpec, enc: CellEncoding) -> str:
             return enc.ops[v - 1]
         return _NO_OP
 
-    def edge_op(e: tuple[int, int]) -> int:
-        if spec.op_placement == "edge":
-            return enc.edge_op(e)
-        return _NO_OP
+    preds: list[list[int]] = [[] for _ in nodes]
+    succs: list[list[int]] = [[] for _ in nodes]
+    for u, v in enc.edges:
+        preds[v].append(u)
+        succs[u].append(v)
+    edge_op = dict(zip(enc.edges, enc.ops)) if spec.op_placement == "edge" else None
 
     role = {0: _ROLE_INPUT, out: _ROLE_OUTPUT}
     h = [_mix(role.get(v, _ROLE_MID), node_op(v)) for v in nodes]
     for _ in range(out + 1):
-        nxt = []
-        for v in nodes:
-            ins = sorted(_mix(h[u], edge_op((u, v))) for u, _ in enc.in_edges(v))
-            outs = sorted(_mix(h[w], edge_op((v, w))) for _, w in enc.out_edges(v))
-            nxt.append(_mix(h[v], len(ins), *ins, 0x5E, len(outs), *outs))
-        h = nxt
+        if edge_op is None:
+            end = [_mix(x, _NO_OP) for x in h]
+            ins = [[end[u] for u in preds[v]] for v in nodes]
+            outs = [[end[w] for w in succs[v]] for v in nodes]
+        else:
+            ins = [[_mix(h[u], edge_op[u, v]) for u in preds[v]] for v in nodes]
+            outs = [[_mix(h[w], edge_op[v, w]) for w in succs[v]] for v in nodes]
+        h = [
+            _mix(h[v], len(ins[v]), *sorted(ins[v]), 0x5E, len(outs[v]), *sorted(outs[v]))
+            for v in nodes
+        ]
     return format(_mix(len(h), *sorted(h)), "016x")
 
 

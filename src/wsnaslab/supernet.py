@@ -476,7 +476,7 @@ def forward_path(
     if needs_rng and rng is None:
         raise ValueError("this configuration needs an rng for forward_path")
     tape = Tape(sn.store, record=train)
-    h = nn.conv3x3(tape.input(x), tape.param("stem/conv/weight"))
+    h = nn.conv3x3(tape.constant(x), tape.param("stem/conv/weight"))
     h = nn.batchnorm(h, sn.bn_states["stem/bn"], train=train, bn_mode=bn_mode)
     h = nn.relu(h)
     width = path_width(sn, enc, train)

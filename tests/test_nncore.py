@@ -21,6 +21,7 @@ from wsnaslab.nncore import (
     save_checkpoint,
     stream_key,
 )
+from wsnaslab.nncore.engine import _f64
 from wsnaslab.protocol import evaluate_path
 from wsnaslab.searchspace import enumerate_space
 from wsnaslab.supernet import build_supernet, interpolation_matrix, path_loss
@@ -324,6 +325,63 @@ def test_input_grad():
     np.testing.assert_allclose(tape.input_grad(x), np.full((2, 2), 2.0))
 
 
+def test_constants_and_zero_op_outputs_store_no_gradient():
+    """Only values downstream of an input or a parameter carry gradient."""
+    store = f64_store()
+    store.create("w", (3, 2, 3, 3), init="normal", fan_in=18)
+    tape = Tape(store)
+    c = tape.constant(named_rng(0, "const").standard_normal((4, 2, 5, 5)))
+    h = nn.conv3x3(c, tape.param("w"))
+    z = nn.zero_op(h)
+    dead = nn.relu(c)
+    tape.backward(weighted_sum(nn.sum_tensors([h, z, nn.conv1x1(dead, tape.constant(np.ones((3, 2))))])))
+    assert h.needs_grad and not (c.needs_grad or z.needs_grad or dead.needs_grad)
+    assert tape.input_grad(c) is None and tape.input_grad(z) is None and tape.input_grad(dead) is None
+    assert tape.input_grad(h) is not None and store.grad("w") is not None
+    # loss, readout product, sum, conv3x3 output and weight: nothing for z or the dead branch
+    assert len(tape._grads) == 5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_constant_batch_leaves_every_parameter_gradient_bit_for_bit(dtype, monkeypatch):
+    """forward_path feeds the batch as a constant, so the stem conv skips
+    d_x; the parameter gradients are those of an input batch."""
+    cfg = load_config(resources.files("wsnaslab") / "presets" / "micro-node-concat.json")
+    p = cfg.protocol
+    index = enumerate_space(cfg.space)
+    rng = named_rng(0, "constant-batch")
+    x = rng.standard_normal((32, cfg.macro.in_channels, 8, 8)).astype(np.float32)
+    y = rng.integers(0, cfg.macro.num_classes, size=32)
+    real_constant = Tape.constant
+
+    def gradients(enc, make_batch):
+        batch = []
+
+        def constant(tape, data):
+            if data is not x:
+                return real_constant(tape, data)
+            batch.append(make_batch(tape, data))
+            return batch[0]
+
+        monkeypatch.setattr(Tape, "constant", constant)
+        sn = build_supernet(cfg.space, cfg.macro, cfg.supernet, 0, bn_affine=p.bn_affine, bn_track=p.bn_track)
+        sn.store = sn.store.astype(dtype)
+        loss, tape = path_loss(sn, enc, x, y, train=True)
+        tape.backward(loss)
+        monkeypatch.undo()
+        return {k: sn.store.grad(k) for k in sn.store.grad_keys()}, tape.input_grad(batch[0])
+
+    for arch_hash in index.hashes[::7]:
+        enc = index.encoding_for(arch_hash)
+        as_input, input_grad = gradients(enc, Tape.input)
+        as_constant, constant_grad = gradients(enc, real_constant)
+        assert input_grad is not None and input_grad.shape == x.shape
+        assert constant_grad is None
+        assert as_input.keys() == as_constant.keys() and "stem/conv/weight" in as_input
+        for key, g in as_input.items():
+            _bits_equal(as_constant[key], g)
+
+
 def test_forward_and_backward_leave_no_reference_cycles():
     """Tapes are freed by reference counting: the collector finds nothing."""
     cfg = load_config(resources.files("wsnaslab") / "presets" / "micro-node-concat.json")
@@ -427,10 +485,10 @@ def _run_f32(op, arrays, d_out):
     return out.data, [tape.input_grad(v) for v in leaves]
 
 
-def _bits_equal(got, want):
-    assert got.dtype == want.dtype and got.dtype.kind == "f" and got.shape == want.shape
+def _bits_equal(got, want, err_msg=""):
+    assert got.dtype == want.dtype and got.dtype.kind == "f" and got.shape == want.shape, err_msg
     bits = np.dtype(f"u{got.dtype.itemsize}")
-    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+    np.testing.assert_array_equal(got.view(bits), want.view(bits), err_msg=err_msg)
 
 
 # ------------------------------------- fast paths against the old formulas
@@ -504,6 +562,116 @@ def test_channel_pad_matches_np_pad():
         pad = [(0, 0)] * 4
         pad[axis] = (0, target - x.shape[axis])
         _bits_equal(nn.channel_pad(tape.input(x), target, axis=axis).data, np.pad(x, pad))
+
+
+def test_f64_and_params_alias_float64_arrays():
+    """The FD audit perturbs store entries in place and relies on a float64
+    tape reading them without a copy."""
+    a = np.arange(3.0)
+    assert _f64(a) is a
+    for dtype in (np.float32, np.float64):
+        store = ParamStore(dtype=dtype)
+        store.create("w", (2, 2), init="normal", fan_in=2)
+        tape = Tape(store)
+        assert tape.param("w").data is store.get("w")
+        assert tape.param("w").data is store.get("w")
+
+
+@pytest.mark.parametrize("o, c", [(8, 8), (4, 4), (2, 2), (8, 1), (4, 8), (8, 4)])
+def test_conv3x3_gradients_with_the_reused_im2col_are_bit_for_bit(o, c):
+    """When O == C the backward writes d_out's im2col over the forward's;
+    d_w, d_x and the inputs match the allocating formula exactly."""
+    for dtype, (n, h, w) in itertools.product((np.float32, np.float64), ((32, 8, 8), (13, 5, 7))):
+        rng = named_rng(10 * o + c, "conv-reuse")
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        d_out = rng.standard_normal((n, o, h, w)).astype(dtype)
+        store = ParamStore(dtype=dtype)
+        store.create("w", (o, c, 3, 3), init="normal", fan_in=9 * c)
+        w3 = store.get("w")
+        x0, w0 = x.copy(), w3.copy()
+        tape = Tape(store)
+        leaf = tape.input(x)
+        # the partner's gradient is the very array conv3x3 gets as d_out
+        partner = tape.input(np.zeros((n, o, h, w)))
+        tape.backward(nn.reduce_sum(nn.mul_mask(nn.sum_tensors([nn.conv3x3(leaf, tape.param("w")), partner]), d_out)))
+        cols = _oracle_im2col3(x).astype(np.float64).reshape(n, c * 9, h * w)
+        d_flat = d_out.astype(np.float64).reshape(n, o, h * w)
+        want_w = (d_flat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, 3, 3)
+        w_adj = w3[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(np.float64).reshape(c, o * 9)
+        d_cols = _oracle_im2col3(d_out).astype(np.float64).reshape(n, o * 9, h * w)
+        want_x = (w_adj @ d_cols).reshape(n, c, h, w)
+        _bits_equal(store.grad("w"), want_w.astype(dtype))
+        _bits_equal(tape.input_grad(leaf), want_x.astype(dtype))
+        _bits_equal(tape.input_grad(partner), d_out)
+        _bits_equal(x, x0)
+        _bits_equal(w3, w0)
+
+
+def _old_batchnorm(x, scale, shift, mean, var, d_out, batch, eps):
+    """The out-of-place forward and backward formulas, float64 throughout."""
+    c = x.shape[1]
+    axes, shape = (0, 2, 3), (1, c, 1, 1)
+    x64 = x.astype(np.float64)
+    if batch:
+        count = x.size // c
+        mean = x64.sum(axis=axes) / count
+        centered = x64 - mean.reshape(shape)
+        var = (centered * centered).sum(axis=axes) / count
+    else:
+        centered = x64 - mean.reshape(shape)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * inv_std.reshape(shape)
+    out = x_hat * scale.reshape(shape) + shift.reshape(shape) if scale is not None else x_hat
+    d64 = d_out.astype(np.float64)
+    d_hat = d64 * scale.reshape(shape) if scale is not None else d64
+    if batch:
+        m1 = d_hat.mean(axis=axes).reshape(shape)
+        m2 = (d_hat * x_hat).mean(axis=axes).reshape(shape)
+        d_x = inv_std.reshape(shape) * (d_hat - m1 - x_hat * m2)
+    else:
+        d_x = d_hat * inv_std.reshape(shape)
+    return out, (d64 * x_hat).sum(axis=axes), d64.sum(axis=axes), d_x
+
+
+@pytest.mark.parametrize("n", [32, 13])
+def test_in_place_batchnorm_matches_the_out_of_place_formula(n):
+    """Forward and d_scale, d_shift, d_x are bitwise those of the old
+    formulas in train, eval-batch and tracked modes, on C 8, 4 and 2 of an
+    8-channel state, and neither the input nor d_out is written."""
+    eps = 1e-5
+    modes = (("train", True, "batch"), ("eval-batch", False, "batch"), ("tracked", False, "tracked"))
+    for dtype, c, affine, (mode, train, bn_mode) in itertools.product(
+        (np.float32, np.float64), (8, 4, 2), (True, False), modes
+    ):
+        rng = named_rng(10 * n + c, "bn-in-place", mode)
+        x = (rng.standard_normal((n, c, 8, 8)) * 3.0 + 1.5).astype(dtype)
+        d_out = rng.standard_normal((n, c, 8, 8)).astype(dtype)
+        store = ParamStore(seed=0, dtype=dtype)
+        state = BNState("bn", channels=8, affine=affine, track=True, momentum=0.9, eps=eps)
+        state.create_params(store)
+        if affine:
+            store.set("bn/scale", rng.standard_normal(8).astype(dtype))
+            store.set("bn/shift", rng.standard_normal(8).astype(dtype))
+        store.set("bn/mean", rng.standard_normal(8).astype(dtype))
+        store.set("bn/var", rng.uniform(0.5, 2.0, 8).astype(dtype))
+        mean, var = store.get("bn/mean")[:c].astype(np.float64), store.get("bn/var")[:c].astype(np.float64)
+        scale = store.get("bn/scale")[:c].astype(np.float64) if affine else None
+        shift = store.get("bn/shift")[:c].astype(np.float64) if affine else None
+        x0 = x.copy()
+        tape = Tape(store)
+        leaf = tape.input(x)
+        partner = tape.input(np.zeros(x.shape))
+        out = nn.batchnorm(leaf, state, train=train, bn_mode=bn_mode)
+        tape.backward(nn.reduce_sum(nn.mul_mask(nn.sum_tensors([out, partner]), d_out)))
+        want = _old_batchnorm(x, scale, shift, mean, var, d_out, bn_mode == "batch", eps)
+        what = f"{mode} {np.dtype(dtype).name} C={c} affine={affine}"
+        _bits_equal(out.data, want[0].astype(dtype), what)
+        if affine:
+            _bits_equal(store.grad("bn/scale")[:c], want[1].astype(dtype), what)
+            _bits_equal(store.grad("bn/shift")[:c], want[2].astype(dtype), what)
+        _bits_equal(tape.input_grad(leaf), want[3].astype(dtype), what)
+        _bits_equal(tape.input_grad(partner), d_out, what)
+        _bits_equal(x, x0, what)
 
 
 # ------------------------------------------------------------------- BN

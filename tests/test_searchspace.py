@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from wsnaslab.config import load_config
 from wsnaslab.searchspace import (
     CellEncoding,
     SearchSpaceSpec,
@@ -225,6 +228,48 @@ def test_hash_format_and_stability():
     assert len(h) == 16
     assert set(h) <= set("0123456789abcdef")
     assert canonical_hash(MICRO, enc) == h
+
+
+def _frozen_mix(*parts: int) -> int:
+    h = hashlib.blake2b(digest_size=8)
+    for p in parts:
+        h.update(int(p & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    return int.from_bytes(h.digest(), "little")
+
+
+def _frozen_canonical_hash(spec: SearchSpaceSpec, enc: CellEncoding) -> str:
+    """canonical_hash as first written: one blake2b update per word, edge
+    lists rescanned per node and every edge end mixed on its own."""
+    assert not validate_encoding(spec, enc)
+    out = spec.output_node
+    nodes = range(out + 1)
+
+    def node_op(v):
+        return enc.ops[v - 1] if spec.op_placement == "node" and 1 <= v <= spec.n_nodes else 0xFFFF
+
+    def edge_op(e):
+        return enc.edge_op(e) if spec.op_placement == "edge" else 0xFFFF
+
+    role = {0: 0x1D, out: 0x3F}
+    h = [_frozen_mix(role.get(v, 0x2E), node_op(v)) for v in nodes]
+    for _ in range(out + 1):
+        nxt = []
+        for v in nodes:
+            ins = sorted(_frozen_mix(h[u], edge_op((u, v))) for u, _ in enc.in_edges(v))
+            outs = sorted(_frozen_mix(h[w], edge_op((v, w))) for _, w in enc.out_edges(v))
+            nxt.append(_frozen_mix(h[v], len(ins), *ins, 0x5E, len(outs), *outs))
+        h = nxt
+    return format(_frozen_mix(len(h), *sorted(h)), "016x")
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpaceSpec(n_nodes=1), MICRO, SearchSpaceSpec(n_nodes=3),
+    load_config(resources.files("wsnaslab") / "presets" / "edge-sum-fixed.json").space,
+], ids=lambda s: s.space_id)
+def test_canonical_hash_matches_its_frozen_first_form(spec):
+    """Every raw encoding keeps its hash, so shipped tables stay valid."""
+    for enc in all_valid_raw(spec):
+        assert canonical_hash(spec, enc) == _frozen_canonical_hash(spec, enc), enc
 
 
 def test_hash_rejects_invalid_encoding():
