@@ -5,7 +5,11 @@ Each primitive computes its output and pushes one node; backward(d_out)
 returns one gradient per parent (or None) and closes over arrays and
 shapes only. A Value points at its tape, but the tape holds no Value, so
 a forward leaves no reference cycle: the tape and its activations are
-freed by reference counting once the last Value and the tape go. A tape
+freed by reference counting once the last Value and the tape go.
+backward() pops each node before it runs the node's backward, so a
+closure, and the activations only it holds, are freed as soon as its
+gradient has been passed on. The tape is consumed before that walk, so a
+backward that raises cannot be retried on half-summed gradients. A tape
 built with record=False (forward_path in eval mode) pushes no nodes, so
 it keeps no activation or backward closure alive and cannot be
 differentiated: its backward() raises.
@@ -23,15 +27,18 @@ Conventions:
   * convolutions are stride 1, same padding, no bias (batch-norm follows);
     each is one float64 matmul over an im2col (a plain reshape for 1x1),
     and the conv3x3 input gradient is the same im2col + matmul applied to
-    d_out with the kernel flipped in space and its channel axes swapped,
-    written over the forward's im2col when the shapes agree; the 3x3
-    im2col is one np.take of a cached (9, H*W) tap index over the
-    flattened zero-padded grid,
+    d_out with the kernel flipped in space and its channel axes swapped;
+    the 3x3 im2col is one np.take of a cached (9, H*W) tap index over the
+    flattened zero-padded grid. A conv3x3 node keeps its input at the
+    tape dtype, not the float64 im2col: its backward rebuilds the im2col
+    for d_w and then writes d_out's over it when the shapes agree,
   * batchnorm centres and scales a private float64 copy of its input in
     place and builds d_x in place, in the same operation order as the
     out-of-place formulas, so the results are bit for bit theirs,
   * relu is np.fmax(x, 0) + 0, bit for bit np.where(x > 0, x, 0): fmax
-    maps NaN to 0 and adding +0 turns -0.0 into +0.0,
+    maps NaN to 0 and adding +0 turns -0.0 into +0.0; its gradient ANDs
+    d_out's bits with a mask of all-ones words where x > 0 and zero words
+    elsewhere, bit for bit np.where(x > 0, d_out, 0) without branches,
   * avgpool3x3 divides by 9 including zero padding, so it stays a fixed
     linear stencil (a 3-row then 3-column shifted sum) and is its own
     transpose in the backward pass.
@@ -127,14 +134,21 @@ class Tape:
         return v
 
     def backward(self, loss: Value) -> None:
+        """Walk the nodes in reverse, popping each before its backward runs,
+        so its closure and the activations only it holds are freed once its
+        gradient has been passed on. The tape is consumed before the walk:
+        a backward that raises leaves no half-filled gradients to retry."""
         self._check_live()
         if not self.record:
             raise RuntimeError("backward on a tape that records no nodes")
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
+        self.consumed = True
         grads = self._grads
         grads[loss.idx] = np.ones_like(loss.data)
-        for idx, parents, node_backward in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            idx, parents, node_backward = nodes.pop()
             d_out = grads.get(idx)
             if d_out is None:
                 continue
@@ -150,8 +164,6 @@ class Tape:
             g = grads.get(idx)
             if g is not None:
                 self.store.accumulate_grad(key, g)
-        self._nodes.clear()
-        self.consumed = True
 
     def input_grad(self, value: Value) -> np.ndarray | None:
         return self._grads.get(value.idx)
@@ -221,23 +233,25 @@ def conv3x3(x: Value, weight: Value) -> Value:
     Forward is one (O, C*9) @ (N, C*9, H*W) matmul over the im2col. The
     adjoint of a same-padding stride-1 convolution is the same convolution
     with the kernel flipped in space and its channel axes swapped, so d_x
-    reuses the im2col + matmul on d_out. Once d_w is made the forward's
-    im2col is spent: when O == C, d_out's im2col is written over it.
+    reuses the im2col + matmul on d_out. The node keeps the input at the
+    tape dtype, not its float64 im2col: the backward rebuilds the im2col
+    for d_w, and once d_w is made, writes d_out's im2col over it when
+    O == C.
     """
     tape = _tape_of(x, weight)
     if x.data.ndim != 4 or weight.data.ndim != 4 or weight.data.shape[2:] != (3, 3):
         raise ValueError(f"conv3x3 shapes: x {x.data.shape}, weight {weight.data.shape}")
     if weight.data.shape[1] != x.data.shape[1]:
         raise ValueError(f"conv3x3 channel mismatch: x has {x.data.shape[1]}, weight expects {weight.data.shape[1]}")
-    w_data = weight.data
-    n, c, h, w = x.data.shape
+    x_data, w_data = x.data, weight.data
+    n, c, h, w = x_data.shape
     o = w_data.shape[0]
-    cols = _im2col3(x.data)
     need_w, need_x = weight.needs_grad, x.needs_grad
 
     def backward(d_out):
-        d_w = d_x = None
+        d_w = d_x = cols = None
         if need_w:
+            cols = _im2col3(x_data)
             d_flat = _f64(d_out).reshape(n, o, h * w)
             d_w = (d_flat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_data.shape)
         if need_x:
@@ -245,7 +259,7 @@ def conv3x3(x: Value, weight: Value) -> Value:
             d_x = (w_adj @ _im2col3(d_out, out=cols if o == c else None)).reshape(n, c, h, w)
         return d_w, d_x
 
-    out = (_f64(w_data).reshape(o, c * 9) @ cols).reshape(n, o, h, w)
+    out = (_f64(w_data).reshape(o, c * 9) @ _im2col3(x_data)).reshape(n, o, h, w)
     return tape._push(out, (weight, x), backward)
 
 
@@ -322,7 +336,10 @@ def relu(x: Value) -> Value:
     x_data = x.data
 
     def backward(d_out):
-        return (np.where(x_data > 0, d_out, 0),)
+        # np.where(x > 0, d_out, 0) as a branch-free mask of all-ones or
+        # all-zeros words: d_out's bits pass unchanged or become +0.0
+        bits = np.dtype(f"i{d_out.dtype.itemsize}")
+        return (np.bitwise_and(d_out.view(bits), -(x_data > 0).astype(bits)).view(d_out.dtype),)
 
     return tape._push(np.fmax(x_data, 0) + 0, (x,), backward)
 
@@ -401,8 +418,8 @@ def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
 
 
 def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
-    """Gather along an axis; backward scatter-adds (plain assignment when
-    the indices are distinct)."""
+    """Gather along an axis; backward scatter-adds in float64, or assigns
+    into zeros of d_out's dtype when the indices are distinct."""
     tape = _tape_of(x)
     idx = np.asarray(indices, dtype=np.intp)
     shape = x.data.shape
@@ -411,11 +428,12 @@ def take_axis(x: Value, indices: np.ndarray, axis: int) -> Value:
     sl = tuple(sl)
 
     def backward(d_out):
-        d_x = np.zeros(shape, dtype=np.float64)
         # wrap negative indices first, so -1 and n-1 count as one index
         if np.unique(np.arange(shape[axis])[idx]).size == idx.size:
+            d_x = np.zeros(shape, dtype=d_out.dtype)
             d_x[sl] = d_out
         else:
+            d_x = np.zeros(shape, dtype=np.float64)
             np.add.at(d_x, sl, _f64(d_out))
         return (d_x,)
 

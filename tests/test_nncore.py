@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import itertools
+import tracemalloc
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -24,7 +26,7 @@ from wsnaslab.nncore import (
 from wsnaslab.nncore.engine import _f64
 from wsnaslab.protocol import evaluate_path
 from wsnaslab.searchspace import enumerate_space
-from wsnaslab.supernet import build_supernet, interpolation_matrix, path_loss
+from wsnaslab.supernet import build_standalone, build_supernet, interpolation_matrix, path_loss
 
 TOL = 1e-6  # float64 central differences are tight
 
@@ -295,6 +297,50 @@ def test_tape_single_use():
         tape.backward(loss)
 
 
+def test_a_backward_that_raises_consumes_the_tape():
+    """A retry must not add the first walk's partial gradients again."""
+    store = f64_store()
+    store.create("w", (2, 2), init="normal", fan_in=1)
+    tape = Tape(store)
+    scaled = nn.mul_mask(tape.param("w"), np.full((2, 2), 3.0))
+    failures = [MemoryError("once")]
+
+    def flaky(d_out):
+        if failures:
+            raise failures.pop()
+        return (d_out,)
+
+    loss = nn.reduce_sum(tape._push(scaled.data, (scaled,), flaky))
+    with pytest.raises(MemoryError):
+        tape.backward(loss)
+    with pytest.raises(RuntimeError, match="reused"):
+        tape.backward(loss)
+    assert store.grad("w") is None
+
+
+def test_backward_frees_each_node_before_the_next_one_runs():
+    """A node's closure, and what only it holds, is gone by the time the
+    backward of the node before it runs."""
+    store = f64_store()
+    store.create("w", (2, 2), init="normal", fan_in=1)
+    tape = Tape(store)
+    w = tape.param("w")
+    held = np.ones((2, 2))
+    freed = weakref.ref(held)
+    seen = []
+
+    def first(d_out):
+        seen.append(freed())
+        return (d_out,)
+
+    h = tape._push(w.data, (w,), first)
+    h = tape._push(h.data, (h,), lambda d_out, held=held: (d_out * held,))
+    del held
+    tape.backward(nn.reduce_sum(h))
+    assert seen == [None]
+    np.testing.assert_array_equal(store.grad("w"), np.ones((2, 2)))
+
+
 def test_tape_param_keys_are_touched_only():
     store = f64_store()
     store.create("used", (2, 2), init="normal", fan_in=1)
@@ -404,6 +450,57 @@ def test_forward_and_backward_leave_no_reference_cycles():
         gc.enable()
 
 
+def _traced(step):
+    """Bytes step() leaves allocated, and its peak, as tracemalloc (which
+    numpy reports its buffers to) sees them; step's result is kept alive
+    while the first figure is taken."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = step()  # noqa: F841
+        held, peak = tracemalloc.get_traced_memory()
+        return held - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_recording_conv3x3_keeps_its_input_not_its_im2col():
+    """It holds less than twice its output (the shape of x, as O == C);
+    the float64 im2col (1.2 MB at this shape) is rebuilt in the backward."""
+    rng = named_rng(0, "conv-memory")
+    tape = Tape(dtype=np.float32)
+    x = tape.input(rng.standard_normal((32, 8, 8, 8)).astype(np.float32))
+    w = tape.input(rng.standard_normal((8, 8, 3, 3)).astype(np.float32))
+    nn.conv3x3(x, w)  # warms the tap-index cache
+    held, _ = _traced(lambda: nn.conv3x3(x, w))
+    assert held < 2 * x.data.nbytes, held
+
+
+def test_a_training_step_frees_its_tape_as_backward_walks():
+    """One preset training step on the in-degree-1 (conv3x3, conv3x3)
+    stand-alone net at batch 32 holds under 2 MB after its forward and
+    peaks under 4 MB in its backward (5.9 and 7.3 MB when every conv kept
+    its im2col and backward freed nothing until the tape went)."""
+    cfg = load_config(resources.files("wsnaslab") / "presets" / "micro-node-concat.json")
+    p = cfg.protocol
+    index = enumerate_space(cfg.space)
+    enc = next(e for e in index.representatives.values() if e.output_in_degree() == 1 and e.ops == (0, 0))
+    sn = build_standalone(cfg.space, enc, cfg.macro, 0, bn_affine=p.bn_affine, bn_track=p.bn_track)
+    rng = named_rng(0, "step-memory")
+    x = rng.standard_normal((32, cfg.macro.in_channels, 8, 8)).astype(np.float32)
+    y = rng.integers(0, cfg.macro.num_classes, size=32)
+
+    def step():
+        loss, tape = path_loss(sn, enc, x, y, train=True)
+        tape.backward(loss)
+
+    step()  # warms the caches and allocates the store's gradients
+    held, _ = _traced(lambda: path_loss(sn, enc, x, y, train=True))
+    _, peak = _traced(step)
+    assert held < 2e6, held
+    assert peak < 4e6, peak
+
+
 # ------------------------------------------- conv parity with einsum
 
 def _oracle_im2col3(x):
@@ -468,17 +565,17 @@ def test_conv_and_pool_match_the_einsum_formulation(c):
             (nn.avgpool3x3, (x,), _oracle_avgpool3x3(x, d_out)),
         ]
         for op, arrays, (want_out, *want_grads) in cases:
-            out, grads = _run_f32(op, arrays, d_out)
+            out, grads = _run(op, arrays, d_out)
             assert out.dtype == np.float32
             np.testing.assert_array_equal(out, want_out, err_msg=f"{op.__name__} {x.shape}")
             for got, want in zip(grads, want_grads):
                 np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"{op.__name__} {x.shape}")
 
 
-def _run_f32(op, arrays, d_out):
-    """op on float32 input leaves; returns its output and the leaves'
-    gradients under the readout sum(out * d_out)."""
-    tape = Tape(dtype=np.float32)
+def _run(op, arrays, d_out, dtype=np.float32):
+    """op on input leaves of a tape of this dtype; returns its output and
+    the leaves' gradients under the readout sum(out * d_out)."""
+    tape = Tape(dtype=dtype)
     leaves = [tape.input(a) for a in arrays]
     out = op(*leaves)
     tape.backward(nn.reduce_sum(nn.mul_mask(out, d_out)))
@@ -494,16 +591,29 @@ def _bits_equal(got, want, err_msg=""):
 # ------------------------------------- fast paths against the old formulas
 
 def test_relu_matches_the_where_formulation_bit_for_bit():
-    special = np.array(
-        [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1.5, -2.5], dtype=np.float32
-    )
-    x = np.concatenate([special, named_rng(0, "relu").standard_normal(54).astype(np.float32)])
-    d_out = np.concatenate([special[::-1], named_rng(1, "relu").standard_normal(54).astype(np.float32)])
-    with np.errstate(invalid="ignore"):  # the readout multiplies 0 by inf
-        out, (grad,) = _run_f32(nn.relu, (x,), d_out)
-    _bits_equal(out, np.where(x > 0, x, 0))
-    # the readout hands relu d_out * 1.0, which keeps every bit of d_out
-    _bits_equal(grad, np.where(x > 0, d_out, 0).astype(np.float32))
+    """On a float32 tape and a float64 one (the FD audit's), with d_out
+    whole and as the channel slice concat_channels' backward hands on."""
+    for dtype, sliced in itertools.product((np.float32, np.float64), (False, True)):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.5], dtype=dtype)
+        x = np.concatenate([special, named_rng(0, "relu").standard_normal(54).astype(dtype)]).reshape(2, 2, 4, 4)
+        d_out = np.concatenate([special[::-1], named_rng(1, "relu").standard_normal(54).astype(dtype)])
+        d_out = d_out.reshape(x.shape)
+        tape = Tape(dtype=dtype)
+        leaf = tape.input(x)
+        out = nn.relu(leaf)
+        top, d_top = out, d_out
+        if sliced:
+            # relu's d_out is then d_top[:, :2], a non-contiguous view
+            other = named_rng(2, "relu").standard_normal((2, 3, 4, 4))
+            top = nn.concat_channels([out, tape.input(other)])
+            d_top = np.concatenate([d_out, other], axis=1)
+        with np.errstate(invalid="ignore"):  # the readout multiplies 0 by inf
+            tape.backward(nn.reduce_sum(nn.mul_mask(top, d_top)))
+        what = f"{np.dtype(dtype).name} sliced={sliced}"
+        _bits_equal(out.data, np.where(x > 0, x, 0).astype(dtype), what)
+        # the readout hands relu d_out * 1.0, which keeps every bit of d_out
+        _bits_equal(tape.input_grad(leaf), np.where(x > 0, d_out, 0).astype(dtype), what)
 
 
 @pytest.mark.parametrize("n", [32, 13])
@@ -546,7 +656,7 @@ def test_mix_axis_matches_the_tensordot_formulation_bit_for_bit():
             shape = list(x.shape)
             shape[axis] = mat.shape[0]
             d_out = rng.standard_normal(shape).astype(np.float32)
-            out, (grad,) = _run_f32(lambda v: nn.mix_axis(v, mat, axis), (x,), d_out)
+            out, (grad,) = _run(lambda v: nn.mix_axis(v, mat, axis), (x,), d_out)
             want = np.moveaxis(np.tensordot(mat, x.astype(np.float64), axes=([1], [axis])), 0, axis)
             want_grad = np.moveaxis(
                 np.tensordot(mat.T, d_out.astype(np.float64), axes=([1], [axis])), 0, axis
@@ -562,6 +672,24 @@ def test_channel_pad_matches_np_pad():
         pad = [(0, 0)] * 4
         pad[axis] = (0, target - x.shape[axis])
         _bits_equal(nn.channel_pad(tape.input(x), target, axis=axis).data, np.pad(x, pad))
+
+
+def test_take_axis_gradients_match_the_float64_scatter_bit_for_bit():
+    """Distinct indices scatter into zeros of d_out's dtype, repeated ones
+    (here -1 and 7 name one channel) still add in float64; both give the
+    bits of the float64 scatter cast back to the tape dtype."""
+    for dtype, idx in itertools.product((np.float32, np.float64), ([3, 0, 7, 5], [7, 2, -1, 0])):
+        rng = named_rng(0, "take-exact", np.dtype(dtype).name)
+        x = rng.standard_normal((4, 8, 3, 3)).astype(dtype)
+        d_out = rng.standard_normal((4, len(idx), 3, 3)).astype(dtype)
+        out, (grad,) = _run(lambda v: nn.take_axis(v, np.array(idx), axis=1), (x,), d_out, dtype)
+        want = np.zeros(x.shape)
+        if len(set(np.arange(8)[idx])) == len(idx):
+            want[:, idx] = d_out
+        else:
+            np.add.at(want, (slice(None), np.array(idx)), d_out.astype(np.float64))
+        _bits_equal(out, x[:, idx])
+        _bits_equal(grad, want.astype(dtype), f"{np.dtype(dtype).name} {idx}")
 
 
 def test_f64_and_params_alias_float64_arrays():
