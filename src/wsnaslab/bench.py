@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SyntheticDatasetSpec, generate_dataset
+from .data import SyntheticDatasetSpec, generate_dataset
 from .files import write_atomic
 from .metrics import sparse_ranks
 from .nncore import stream_key
@@ -89,9 +89,6 @@ class BenchmarkTable:
 
     def gt_mean(self, arch_hash: str) -> float:
         return float(np.mean([e.test_accuracy for e in self.entries_for(arch_hash)]))
-
-    def val_mean(self, arch_hash: str) -> float:
-        return float(np.mean([e.val_accuracy for e in self.entries_for(arch_hash)]))
 
     def seed_spread(self, arch_hash: str) -> float:
         accs = [e.test_accuracy for e in self.entries_for(arch_hash)]
@@ -228,13 +225,18 @@ def load_table(path: str | Path) -> BenchmarkTable:
         fail(1, f"space_id {header['space_id']!r} does not match spec {spec.space_id!r}")
     macro = MacroParams.from_dict(header["macro"])
     entries = []
+    seen = set()
     for line_no, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
         try:
-            entries.append(BenchmarkEntry.from_dict(json.loads(line)))
+            entry = BenchmarkEntry.from_dict(json.loads(line))
         except (json.JSONDecodeError, ValueError, KeyError, TypeError) as e:
             fail(line_no, f"bad entry: {e}")
+        if (entry.arch_hash, entry.seed) in seen:
+            fail(line_no, f"duplicate entry for architecture {entry.arch_hash} seed {entry.seed}")
+        seen.add((entry.arch_hash, entry.seed))
+        entries.append(entry)
     if not entries:
         fail(1, "table has no entries")
     return BenchmarkTable(
@@ -249,11 +251,8 @@ def load_table(path: str | Path) -> BenchmarkTable:
 __all__ = [
     "BenchmarkEntry",
     "BenchmarkTable",
-    "Dataset",
-    "SyntheticDatasetSpec",
     "build_micro_benchmark",
     "derive_job_seed",
-    "generate_dataset",
     "load_table",
     "protocol_digest",
     "save_table",

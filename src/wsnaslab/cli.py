@@ -271,8 +271,6 @@ def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dat
         )
         return sn
     store, header = _read(load_checkpoint, ckpt, "checkpoint")
-    if header is None:
-        raise CliError(f"{ckpt} has no header record; not a super-net checkpoint", EXIT_MISMATCH)
     meta = json.loads(header)
     sn = build_supernet(
         config.space, config.macro, config.supernet, int(meta.get("seed", 0)),
@@ -300,7 +298,7 @@ def cmd_landscape(args) -> int:
             raise CliError(f"architecture {args.arch!r} not in space {config.space.space_id}", EXIT_MISMATCH)
         loss_fn = standalone_landscape_loss_fn(sn, index.representatives[args.arch], x, y)
     else:
-        loss_fn = supernet_landscape_loss_fn(sn, x, y, num_paths=args.num_paths, seed=args.seed, index=index)
+        loss_fn = supernet_landscape_loss_fn(sn, x, y, index, num_paths=args.num_paths, seed=args.seed)
     grid = loss_landscape_grid(loss_fn, sn.store, args.seed, radius=args.radius, half_points=args.half_points)
     write_csv(args.out, [[_fmt(v) for v in row] for row in grid])
     print(f"wrote {args.out} ({grid.shape[0]}x{grid.shape[1]} grid)")

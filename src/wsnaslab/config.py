@@ -69,6 +69,13 @@ class ExperimentConfig(Record, label="config"):
     benchmark: BenchmarkSettings = field(default_factory=BenchmarkSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
+    def __post_init__(self):
+        # both sections persist their own copy (table header, checkpoint header, config.json)
+        for key in ("num_classes", "in_channels"):
+            ours, theirs = getattr(self.macro, key), getattr(self.dataset, key)
+            if ours != theirs:
+                raise ValueError(f"macro.{key} ({ours}) must equal dataset.{key} ({theirs})")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         unknown = set(d) - set(CONFIG_SECTIONS)

@@ -254,22 +254,3 @@ def compute_report(
         report.p_surpass_random = prob_surpass_random(*surpass)
     return report
 
-
-def metric_correlation(rows: list[dict], fields: tuple[str, ...] = ("supernet_accuracy", "s_kdt", "final_performance")) -> dict:
-    """Pairwise Spearman between metric columns across sweep rows.
-
-    Needs at least three rows; constant or missing columns give None.
-    """
-    if len(rows) < 3:
-        raise ValueError("metric correlation needs at least three rows")
-    out: dict[str, float | None] = {}
-    for i, a in enumerate(fields):
-        for b in fields[i + 1 :]:
-            pairs = [(row[a], row[b]) for row in rows if row.get(a) is not None and row.get(b) is not None]
-            if len(pairs) < 3:
-                out[f"{a}~{b}"] = None
-                continue
-            va = np.asarray([p[0] for p in pairs])
-            vb = np.asarray([p[1] for p in pairs])
-            out[f"{a}~{b}"] = spearman_rho(va, vb)
-    return out

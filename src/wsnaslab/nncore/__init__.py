@@ -1,23 +1,11 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Values are float32 by default (float64 available for gradient checking);
-every reduction accumulates in float64 before casting back. The engine is
-deliberately tiny: a tape that is one list of nodes (output index, parent
-indices, backward closure over arrays only), a string-keyed parameter
-store with named deterministic init streams, and the dozen primitives the
-micro search spaces need. Convolutions are an im2col (one np.take of a
-cached tap index over the zero-padded grid) plus one float64 matmul, and
-the conv3x3 backward pass is the same convolution with the kernel
-flipped; a conv3x3 keeps its input, not the im2col, and rebuilds the
-im2col in its backward. relu is np.fmax(x, 0) + 0, the same bits as
-np.where(x > 0, x, 0), and its gradient is d_out under a bit mask, the
-same bits as np.where(x > 0, d_out, 0). The tape holds no Value, so tapes
-and their activations are freed by reference counting, not by the cyclic
-collector, and backward() frees each node as it passes it. Only inputs and
-parameters carry gradient: constants (such as the training batch) and
-everything computed from constants alone get none, and no backward work
-is done for them. An evaluation tape (Tape(..., record=False)) records no
-nodes at all and cannot be differentiated.
+A tape of primitive nodes (engine.py), a string-keyed parameter store with
+named deterministic init streams and the checkpoint format (params.py),
+and a finite-difference gradient audit (gradcheck.py): the dozen
+primitives the micro search spaces need and nothing else. Values are
+float32 by default, float64 for gradient checks. engine.py's docstring
+states the tape, gradient and numeric conventions.
 """
 
 from .engine import (

@@ -1,7 +1,12 @@
 """Parameter store, deterministic init streams, and checkpoint persistence.
 
-Checkpoint layout (all integers little-endian):
+Checkpoint layout (all integers little-endian): a header record, then the
+store block.
 
+    magic   4 bytes  b"NNCK"
+    version u32      format version (currently 1)
+    length  u32      byte length of the header text
+    header  length bytes, utf-8 (what the store was built for)
     magic   4 bytes  b"NNPS"
     version u32      format version (currently 1)
     count   u32      number of entries
@@ -27,6 +32,7 @@ import numpy as np
 
 from ..files import write_atomic
 
+HEADER_MAGIC = b"NNCK"
 MAGIC = b"NNPS"
 FORMAT_VERSION = 1
 
@@ -150,18 +156,13 @@ class ParamStore:
         return other
 
 
-def save_checkpoint(store: ParamStore, path: str | Path, header: str | None = None) -> None:
-    """Write the store in the binary format; optional text header record.
-
-    When `header` is given the file starts with magic b"NNCK", version, a
-    u32 byte length, and the utf-8 header text, followed by the plain store
-    block. Plain stores start directly with b"NNPS".
-    """
-    chunks: list[bytes] = []
-    if header is not None:
-        raw = header.encode("utf-8")
-        chunks.append(b"NNCK" + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
-    chunks.append(MAGIC + struct.pack("<II", FORMAT_VERSION, len(store)))
+def save_checkpoint(store: ParamStore, path: str | Path, header: str) -> None:
+    """Write the header record and the store in the binary format."""
+    raw = header.encode("utf-8")
+    chunks = [
+        HEADER_MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw,
+        MAGIC + struct.pack("<II", FORMAT_VERSION, len(store)),
+    ]
     for key in store.keys():
         value = np.ascontiguousarray(store.get(key), dtype=np.float32)
         raw_key = key.encode("utf-8")
@@ -171,8 +172,8 @@ def save_checkpoint(store: ParamStore, path: str | Path, header: str | None = No
     write_atomic(path, b"".join(chunks))
 
 
-def load_checkpoint(path: str | Path, seed: int = 0) -> tuple[ParamStore, str | None]:
-    """Read a checkpoint; returns (store, header text or None)."""
+def load_checkpoint(path: str | Path) -> tuple[ParamStore, str]:
+    """Read a checkpoint; returns (store, header text)."""
     raw = Path(path).read_bytes()
     offset = 0
 
@@ -184,20 +185,18 @@ def load_checkpoint(path: str | Path, seed: int = 0) -> tuple[ParamStore, str | 
         offset += n
         return out
 
-    header = None
-    magic = take(4)
-    if magic == b"NNCK":
-        version, hlen = struct.unpack("<II", take(8))
+    def block(magic: bytes) -> int:
+        found = take(4)
+        if found != magic:
+            raise ValueError(f"bad checkpoint magic {found!r} in {path}, expected {magic!r}")
+        version, size = struct.unpack("<II", take(8))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header = take(hlen).decode("utf-8")
-        magic = take(4)
-    if magic != MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
-    version, count = struct.unpack("<II", take(8))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    store = ParamStore(seed=seed)
+        return size
+
+    header = take(block(HEADER_MAGIC)).decode("utf-8")
+    count = block(MAGIC)
+    store = ParamStore()
     for _ in range(count):
         (key_len,) = struct.unpack("<I", take(4))
         key = take(key_len).decode("utf-8")

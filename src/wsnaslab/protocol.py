@@ -343,16 +343,16 @@ def supernet_landscape_loss_fn(
     sn: SuperNet,
     x: np.ndarray,
     y: np.ndarray,
+    index: EnumerationIndex,
     num_paths: int = 32,
     seed: int = 0,
-    index: EnumerationIndex | None = None,
 ):
     """Mean loss over a fixed sample of paths, as a loss_fn for the grid.
 
-    A sub-space super-net draws only paths of its output in-degree.
+    Paths are drawn uniformly over unique architectures (random_a); a
+    sub-space super-net draws only paths of its output in-degree.
     """
-    kind = "random_a" if index is not None else "random_nas"
-    sampler = Sampler(kind, sn.spec, index=index, k_filter=sn.config.fixed_k)
+    sampler = Sampler("random_a", sn.spec, index=index, k_filter=sn.config.fixed_k)
     rng = named_rng(seed, "landscape-paths")
     encs = [sampler.draw(rng) for _ in range(num_paths)]
     return lambda store: mean_path_loss(sn, encs, x, y)

@@ -27,14 +27,11 @@ from .searchspace import (
     SearchSpaceSpec,
     canonical_hash,
     is_valid,
+    skeleton_probe,
 )
 
 SAMPLER_KINDS = ("random_nas", "random_a", "fairnas")
-DEFAULT_REJECTION_BUDGET = 10_000
-
-
-def _candidate_edges(spec: SearchSpaceSpec) -> tuple[tuple[int, int], ...]:
-    return spec.chain_edges() if spec.topology_mode == "chain" else spec.possible_edges()
+REJECTION_BUDGET = 10_000  # draws per sample before a RuntimeError; read at call time
 
 
 def _accept(spec: SearchSpaceSpec, enc: CellEncoding, k_filter: int | None) -> bool:
@@ -46,13 +43,12 @@ def _accept(spec: SearchSpaceSpec, enc: CellEncoding, k_filter: int | None) -> b
 def sample_random_nas(
     spec: SearchSpaceSpec,
     rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
     k_filter: int | None = None,
 ) -> CellEncoding:
     """Uniform draw over valid raw encodings (rejection sampling)."""
-    candidates = _candidate_edges(spec)
+    candidates = spec.candidate_edges()
     o = spec.num_ops
-    for _ in range(budget):
+    for _ in range(REJECTION_BUDGET):
         if spec.op_placement == "node":
             present = rng.integers(0, 2, size=len(candidates))
             edges = tuple(e for e, p in zip(candidates, present) if p)
@@ -64,7 +60,7 @@ def sample_random_nas(
         enc = CellEncoding(spec.n_nodes, edges, ops)
         if _accept(spec, enc, k_filter):
             return enc
-    raise RuntimeError(f"rejection budget of {budget} exhausted sampling {spec.space_id}")
+    raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} exhausted sampling {spec.space_id}")
 
 
 def sample_random_a(
@@ -82,20 +78,16 @@ def sample_random_a(
 def sample_skeleton(
     spec: SearchSpaceSpec,
     rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
     k_filter: int | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Uniform draw over valid skeletons (edge sets)."""
-    candidates = _candidate_edges(spec)
-    probe_ops_node = tuple([0] * spec.n_nodes)
-    for _ in range(budget):
+    candidates = spec.candidate_edges()
+    for _ in range(REJECTION_BUDGET):
         present = rng.integers(0, 2, size=len(candidates))
         edges = tuple(e for e, p in zip(candidates, present) if p)
-        ops = probe_ops_node if spec.op_placement == "node" else tuple([0] * len(edges))
-        enc = CellEncoding(spec.n_nodes, edges, ops)
-        if _accept(spec, enc, k_filter):
+        if _accept(spec, skeleton_probe(spec, edges), k_filter):
             return edges
-    raise RuntimeError(f"rejection budget of {budget} exhausted sampling skeletons of {spec.space_id}")
+    raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} exhausted sampling skeletons of {spec.space_id}")
 
 
 @dataclass(frozen=True)
@@ -119,12 +111,11 @@ class FairStepPlan:
 def fairnas_plan(
     spec: SearchSpaceSpec,
     rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
     k_filter: int | None = None,
 ) -> FairStepPlan:
     """Sample a skeleton and one op permutation per active site."""
-    skeleton = sample_skeleton(spec, rng, budget=budget, k_filter=k_filter)
-    n_sites = spec.n_nodes if spec.op_placement == "node" else len(skeleton)
+    skeleton = sample_skeleton(spec, rng, k_filter=k_filter)
+    n_sites = spec.op_slots(skeleton)
     perms = tuple(tuple(int(v) for v in rng.permutation(spec.num_ops)) for _ in range(n_sites))
     return FairStepPlan(spec.n_nodes, skeleton, perms)
 
@@ -137,7 +128,6 @@ class Sampler:
     spec: SearchSpaceSpec
     index: EnumerationIndex | None = None
     k_filter: int | None = None
-    budget: int = DEFAULT_REJECTION_BUDGET
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -145,14 +135,9 @@ class Sampler:
         if self.kind == "random_a" and self.index is None:
             raise ValueError("random_a needs an enumeration index")
 
-    @property
-    def archs_per_step(self) -> int:
-        """Forward/backward passes one training step costs."""
-        return self.spec.num_ops if self.kind == "fairnas" else 1
-
     def draw(self, rng: np.random.Generator) -> CellEncoding:
         if self.kind == "random_nas":
-            return sample_random_nas(self.spec, rng, budget=self.budget, k_filter=self.k_filter)
+            return sample_random_nas(self.spec, rng, k_filter=self.k_filter)
         if self.kind == "random_a":
             return sample_random_a(self.index, rng, k_filter=self.k_filter)
         raise ValueError("fairnas draws plans, not single encodings")
@@ -160,7 +145,7 @@ class Sampler:
     def plan(self, rng: np.random.Generator) -> FairStepPlan:
         if self.kind != "fairnas":
             raise ValueError(f"{self.kind} has no step plans")
-        return fairnas_plan(self.spec, rng, budget=self.budget, k_filter=self.k_filter)
+        return fairnas_plan(self.spec, rng, k_filter=self.k_filter)
 
 
 def sampling_histogram(

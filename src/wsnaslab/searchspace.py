@@ -20,8 +20,6 @@ import itertools
 import struct
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .record import Record
 
 OP_VOCABULARY = ("conv3x3", "conv1x1", "avgpool3x3", "identity", "zero")
@@ -102,6 +100,14 @@ class SearchSpaceSpec(Record, label="space"):
     def chain_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, i + 1) for i in range(self.n_nodes + 1))
 
+    def candidate_edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges a skeleton of this space may use: the chain, or every possible edge."""
+        return self.chain_edges() if self.topology_mode == "chain" else self.possible_edges()
+
+    def op_slots(self, edges: tuple[tuple[int, int], ...]) -> int:
+        """Op indices an encoding with these edges carries."""
+        return self.n_nodes if self.op_placement == "node" else len(edges)
+
 
 def make_chain_space(spec: SearchSpaceSpec) -> SearchSpaceSpec:
     """Chain-topology restriction of a dag spec (same ops and semantics)."""
@@ -130,25 +136,6 @@ class CellEncoding(Record, label="encoding"):
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ops", tuple(int(o) for o in self.ops))
-
-    @classmethod
-    def from_matrix(cls, adjacency: np.ndarray, ops: tuple[int, ...]) -> "CellEncoding":
-        a = np.asarray(adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got {a.shape}")
-        if np.any(np.tril(a)):
-            raise ValueError("adjacency must be strictly upper-triangular")
-        n = a.shape[0] - 2
-        if n < 1:
-            raise ValueError("adjacency needs at least 3 nodes")
-        edges = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(a)))
-        return cls(n_nodes=n, edges=edges, ops=tuple(ops))
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_nodes + 2, self.n_nodes + 2), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = True
-        return a
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         return [e for e in self.edges if e[1] == v]
@@ -179,6 +166,11 @@ class CellEncoding(Record, label="encoding"):
         return cls(n_nodes=int(d["nodes"]), edges=tuple(tuple(e) for e in d["edges"]), ops=tuple(d["ops"]))
 
 
+def skeleton_probe(spec: SearchSpaceSpec, edges: tuple[tuple[int, int], ...]) -> CellEncoding:
+    """The edge set with op 0 in every slot: valid exactly when the skeleton is."""
+    return CellEncoding(spec.n_nodes, edges, (0,) * spec.op_slots(edges))
+
+
 # ------------------------------------------------------------- validation
 
 def validate_encoding(spec: SearchSpaceSpec, enc: CellEncoding) -> list[str]:
@@ -197,8 +189,7 @@ def validate_encoding(spec: SearchSpaceSpec, enc: CellEncoding) -> list[str]:
     if (0, out) in enc.edges:
         reasons.append("forbidden_edge")
 
-    expected_ops = spec.n_nodes if spec.op_placement == "node" else len(enc.edges)
-    if len(enc.ops) != expected_ops or any(not (0 <= o < spec.num_ops) for o in enc.ops):
+    if len(enc.ops) != spec.op_slots(enc.edges) or any(not (0 <= o < spec.num_ops) for o in enc.ops):
         reasons.append("bad_op")
 
     if spec.topology_mode == "chain":
@@ -301,17 +292,13 @@ def canonical_hash(spec: SearchSpaceSpec, enc: CellEncoding) -> str:
 
 def _valid_skeletons(spec: SearchSpaceSpec) -> list[tuple[tuple[int, int], ...]]:
     """All edge sets where every intermediate node lies on a path."""
-    possible = spec.possible_edges()
-    if spec.topology_mode == "chain":
-        possible = spec.chain_edges()
+    possible = spec.candidate_edges()
     if 1 << len(possible) > SKELETON_MASK_GUARD:
         raise ValueError(f"cannot enumerate skeletons over {len(possible)} candidate edges")
-    probe_ops = tuple([0] * spec.n_nodes)
     skeletons = []
     for mask in range(1 << len(possible)):
         edges = tuple(e for b, e in enumerate(possible) if mask >> b & 1)
-        enc = CellEncoding(spec.n_nodes, edges, probe_ops if spec.op_placement == "node" else tuple([0] * len(edges)))
-        if is_valid(spec, enc):
+        if is_valid(spec, skeleton_probe(spec, edges)):
             skeletons.append(edges)
     return skeletons
 
@@ -359,8 +346,7 @@ def enumerate_space(spec: SearchSpaceSpec) -> EnumerationIndex:
     count exceeds the enumeration guard.
     """
     skeletons = _valid_skeletons(spec)
-    slots_of = lambda edges: spec.n_nodes if spec.op_placement == "node" else len(edges)
-    raw = sum(spec.num_ops ** slots_of(edges) for edges in skeletons)
+    raw = sum(spec.num_ops ** spec.op_slots(edges) for edges in skeletons)
     if raw > RAW_ENUMERATION_GUARD:
         raise ValueError(
             f"raw enumeration would produce {raw} encodings, over the guard of {RAW_ENUMERATION_GUARD}"
@@ -368,7 +354,7 @@ def enumerate_space(spec: SearchSpaceSpec) -> EnumerationIndex:
     representatives: dict[str, CellEncoding] = {}
     multiplicity: dict[str, int] = {}
     for edges in skeletons:
-        for ops in itertools.product(range(spec.num_ops), repeat=slots_of(edges)):
+        for ops in itertools.product(range(spec.num_ops), repeat=spec.op_slots(edges)):
             enc = CellEncoding(spec.n_nodes, edges, ops)
             key = canonical_hash(spec, enc)
             multiplicity[key] = multiplicity.get(key, 0) + 1
@@ -384,11 +370,7 @@ class SubSpace:
     """Architectures sharing one output in-degree k (constant cell width)."""
 
     k: int
-    sub_space_id: str
     arch_hashes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "sub_space_id": self.sub_space_id, "arch_hashes": list(self.arch_hashes)}
 
 
 def partition_by_output_edges(spec: SearchSpaceSpec, index: EnumerationIndex | None = None) -> list[SubSpace]:
@@ -404,4 +386,4 @@ def partition_by_output_edges(spec: SearchSpaceSpec, index: EnumerationIndex | N
         index = enumerate_space(spec)
     # the input->output edge is never in a space, so only the n intermediate nodes feed the output
     by_k = {k: index.hashes_with_output_degree(k) for k in range(1, spec.n_nodes + 1)}
-    return [SubSpace(k=k, sub_space_id=f"k{k}", arch_hashes=hashes) for k, hashes in by_k.items() if hashes]
+    return [SubSpace(k=k, arch_hashes=hashes) for k, hashes in by_k.items() if hashes]

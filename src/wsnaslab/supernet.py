@@ -73,15 +73,6 @@ class SuperNetConfig(Record, label="supernet"):
             raise ValueError("dropout rates must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class PathSelection:
-    """The parameter subset theta_i one architecture touches."""
-
-    arch: CellEncoding
-    width: int
-    keys: tuple[str, ...]
-
-
 @dataclass
 class SuperNet:
     spec: SearchSpaceSpec
@@ -152,7 +143,6 @@ def build_supernet(
     bn_track: bool = False,
     bn_momentum: float = 0.9,
     bn_eps: float = 1e-5,
-    dtype=np.float32,
     restrict_to: CellEncoding | None = None,
 ) -> SuperNet:
     """Allocate every op site of the space (or of one architecture).
@@ -163,7 +153,7 @@ def build_supernet(
     """
     if config.ofa_kernel and not ("conv3x3" in spec.ops and "conv1x1" in spec.ops):
         raise ValueError("ofa_kernel needs both conv3x3 and conv1x1 in the vocabulary")
-    store = ParamStore(seed=seed, dtype=dtype)
+    store = ParamStore(seed=seed)
     bn_states: dict[str, BNState] = {}
     c = macro.init_channels
 
@@ -233,7 +223,6 @@ def build_standalone(
     bn_track: bool = True,
     bn_momentum: float = 0.9,
     bn_eps: float = 1e-5,
-    dtype=np.float32,
 ) -> SuperNet:
     """Fixed-channel network for a single architecture (no sharing)."""
     reasons = validate_encoding(spec, enc)
@@ -248,8 +237,7 @@ def build_standalone(
     )
     return build_supernet(
         spec, macro, config, seed,
-        bn_affine=bn_affine, bn_track=bn_track, bn_momentum=bn_momentum, bn_eps=bn_eps,
-        dtype=dtype, restrict_to=enc,
+        bn_affine=bn_affine, bn_track=bn_track, bn_momentum=bn_momentum, bn_eps=bn_eps, restrict_to=enc,
     )
 
 
@@ -267,8 +255,8 @@ def path_width(sn: SuperNet, enc: CellEncoding, train: bool) -> int:
     return max(1, sn.macro.init_channels // enc.output_in_degree())
 
 
-def select_path(sn: SuperNet, enc: CellEncoding, train: bool = True) -> PathSelection:
-    """Trainable parameter keys touched by one architecture's forward."""
+def select_path(sn: SuperNet, enc: CellEncoding) -> tuple[str, ...]:
+    """Sorted trainable parameter keys (theta_i) one architecture's forward touches."""
     sn.check_arch(enc)
     spec = sn.spec
     keys: set[str] = {"stem/conv/weight", "classifier/weight", "classifier/bias"}
@@ -299,7 +287,7 @@ def select_path(sn: SuperNet, enc: CellEncoding, train: bool = True) -> PathSele
         if sn.config.wsbn:
             for u, v in enc.edges:
                 add_bn(_wsbn_key(stack, v, u))
-    return PathSelection(arch=enc, width=path_width(sn, enc, train), keys=tuple(sorted(keys)))
+    return tuple(sorted(keys))
 
 
 # ---------------------------------------------------------------- slicing
@@ -383,7 +371,7 @@ def _apply_op(
     if op == "conv3x3":
         w = tape.param(f"{site}/conv3x3/weight")
         if width < sn.alloc_width:
-            w = _slice_axis(_slice_axis(w, width, 0, strategy, rng), width, 1, strategy, rng)
+            w = _slice_weight_2d(w, width, width, strategy, rng)
         y = nn.conv3x3(x, w)
     elif op == "conv1x1":
         if sn.config.ofa_kernel:
@@ -522,8 +510,7 @@ def mean_path_loss(
 
 def path_param_count(sn: SuperNet, enc: CellEncoding) -> int:
     """Number of scalar parameters the architecture's forward touches."""
-    selection = select_path(sn, enc)
-    return int(sum(np.prod(sn.store.get(k).shape) for k in selection.keys))
+    return int(sum(np.prod(sn.store.get(k).shape) for k in select_path(sn, enc)))
 
 
 def checkpoint_header(sn: SuperNet) -> str:

@@ -511,7 +511,7 @@ def test_criterion_04_path_isolation_and_decomposition(tmp_path):
             failures.append(f"{label}: checkpoint key sets differ")
         changed = {k for k in before.keys() if not np.array_equal(before.get(k), after.get(k))}
         changed_counts.append(len(changed))
-        selected = set(select_path(sn, enc).keys)
+        selected = set(select_path(sn, enc))
         if not always_on <= selected:
             failures.append(f"{label}: always-on keys missing from selection: {sorted(always_on - selected)}")
         if not always_on <= changed:

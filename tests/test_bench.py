@@ -75,7 +75,6 @@ def test_protocol_digest_tracks_every_input():
 def test_table_means_and_spreads():
     t = FOUR
     assert t.gt_mean("aa") == pytest.approx(0.91)
-    assert t.val_mean("aa") == pytest.approx(0.9)
     assert t.seed_spread("aa") == pytest.approx(0.02)
     assert t.seed_spread("cc") == 0.0
     assert t.max_seed_spread() == pytest.approx(0.04)  # bb
@@ -215,6 +214,11 @@ def test_load_errors_carry_line_numbers(tmp_path):
         path.write_text("\n".join([lines[0], json.dumps(bad_entry)]) + "\n")
         with pytest.raises(ValueError, match=rf":2: bad entry: entry.{key} must be {kind}"):
             load_table(path)
+
+    twin = dict(json.loads(lines[1]), test_accuracy=1.0)
+    path.write_text("\n".join(lines[:2] + [json.dumps(twin)] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=rf":3: duplicate entry for architecture {twin['arch_hash']} seed {twin['seed']}"):
+        load_table(path)
 
     path.write_text(lines[0] + "\n")
     with pytest.raises(ValueError, match="no entries"):

@@ -61,6 +61,18 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["enumerate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("num_classes", 4), ("num_classes", 2), ("in_channels", 3)])
+def test_mismatched_class_or_channel_counts_exit_2_before_any_work(tmp_path, capsys, key, value):
+    d = tiny_config_dict(tmp_path)
+    d["dataset"][key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["build-benchmark", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"macro.{key}" in err and f"dataset.{key}" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "bench.jsonl").exists()
+
+
 def test_run_without_table_exits_4(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(tiny_config_dict(tmp_path)))
@@ -137,6 +149,18 @@ def test_run_with_corrupt_table_line_exits_4(workdir, tmp_path, capsys):
     assert main(["run", "--config", config_path(workdir), "--bench", str(corrupt),
                  "--out", str(tmp_path / "z")]) == 4
     assert capsys.readouterr().err.startswith(f"error: {corrupt}:3: bad entry")
+
+
+def test_run_with_a_duplicate_table_line_exits_4(workdir, tmp_path, capsys):
+    doubled = tmp_path / "doubled.jsonl"
+    lines = (workdir / "bench.jsonl").read_text().splitlines()
+    twin = dict(json.loads(lines[1]), test_accuracy=1.0)
+    doubled.write_text("\n".join(lines + [json.dumps(twin)]) + "\n")
+    assert main(["run", "--config", config_path(workdir), "--bench", str(doubled),
+                 "--out", str(tmp_path / "z")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doubled}:{len(lines) + 1}: duplicate entry") and len(err.splitlines()) == 1
+    assert not (tmp_path / "z").exists()
 
 
 def test_run_with_mismatched_table_exits_3(workdir, tmp_path, capsys):
@@ -313,6 +337,19 @@ def test_landscape_checkpoint_errors(workdir, tmp_path, capsys):
         "--out", str(tmp_path / "g.csv"), "--ckpt", str(tmp_path / "absent.ckpt"),
         "--half-points", "1", "--batch", "8",
     ]) == 4
+
+    raw = (workdir / "run_a" / "supernet_seed0.ckpt").read_bytes()
+    bare = tmp_path / "bare.ckpt"
+    bare.write_bytes(raw[raw.index(b"NNPS"):])  # the store block without its header record
+    capsys.readouterr()
+    assert main([
+        "landscape", "--config", config_path(workdir),
+        "--out", str(tmp_path / "g.csv"), "--ckpt", str(bare),
+        "--half-points", "1", "--batch", "8",
+    ]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad checkpoint magic b'NNPS'") and len(err.splitlines()) == 1
+    assert not (tmp_path / "g.csv").exists()
 
     d = tiny_config_dict(workdir)
     d["macro"]["init_channels"] = 8

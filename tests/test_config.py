@@ -100,6 +100,21 @@ def test_mistyped_values_fail_at_load(tmp_path, section, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("macro, dataset", [
+    ({"num_classes": 3}, {"num_classes": 4}),
+    ({"num_classes": 3}, {"num_classes": 2}),
+    ({"in_channels": 1}, {"in_channels": 3}),
+])
+def test_class_and_channel_counts_must_agree_at_load(tmp_path, macro, dataset):
+    (key,) = macro
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"macro": macro, "dataset": dataset}))
+    with pytest.raises(ValueError, match=rf"counts.json: macro\.{key} \(\d\) must equal dataset\.{key} \(\d\)"):
+        load_config(path)
+    matching = ExperimentConfig.from_dict({"macro": {key: dataset[key]}, "dataset": dataset})
+    assert getattr(matching.macro, key) == getattr(matching.dataset, key) == dataset[key]
+
+
 def test_float_fields_keep_ints_and_optional_fields_take_null():
     config = ExperimentConfig.from_dict({"protocol": {"learning_rate": 1}, "supernet": {"fixed_k": None}})
     assert config.to_dict()["protocol"]["learning_rate"] == 1

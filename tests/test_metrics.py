@@ -16,7 +16,6 @@ from wsnaslab.metrics import (
     compute_report,
     final_performance,
     kendall_tau,
-    metric_correlation,
     ordinal_ranks,
     plain_kendall_tau,
     plain_spearman,
@@ -340,32 +339,3 @@ def test_report_csv_is_deterministic(tmp_path):
     r2.save_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-
-def test_metric_correlation():
-    rng = named_rng(9, "mc")
-    rows = []
-    for i in range(8):
-        base = float(rng.uniform(0, 1))
-        rows.append({
-            "supernet_accuracy": base,
-            "s_kdt": base / 2 + 0.1,        # monotone in base
-            "final_performance": 1.0,        # constant column
-        })
-    corr = metric_correlation(rows)
-    assert corr["supernet_accuracy~s_kdt"] == pytest.approx(1.0)
-    assert corr["supernet_accuracy~final_performance"] is None
-    assert corr["s_kdt~final_performance"] is None
-    with pytest.raises(ValueError):
-        metric_correlation(rows[:2])
-
-
-def test_metric_correlation_skips_missing_values():
-    rows = [
-        {"supernet_accuracy": 0.1, "s_kdt": 0.2, "final_performance": 0.3},
-        {"supernet_accuracy": 0.4, "s_kdt": None, "final_performance": 0.5},
-        {"supernet_accuracy": 0.6, "s_kdt": 0.7, "final_performance": 0.8},
-    ]
-    corr = metric_correlation(rows)
-    # only two complete pairs remain for the s_kdt columns
-    assert corr["supernet_accuracy~s_kdt"] is None
-    assert corr["supernet_accuracy~final_performance"] == pytest.approx(1.0)

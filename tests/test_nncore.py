@@ -952,9 +952,9 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     store.get("bn/mean")[:] = [1, 2, 3, 4]
     store.create("cls/bias", (3,), init="normal", fan_in=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(store, path)
+    save_checkpoint(store, path, header='{"x":1}')
     loaded, header = load_checkpoint(path)
-    assert header is None
+    assert header == '{"x":1}'
     assert loaded.keys() == store.keys()
     for key in store.keys():
         np.testing.assert_array_equal(loaded.get(key), store.get(key))
@@ -987,13 +987,18 @@ def test_checkpoint_corruption_errors(tmp_path):
     store = ParamStore()
     store.create("w", (4,), init="ones")
     path = tmp_path / "ok.ckpt"
-    save_checkpoint(store, path)
+    save_checkpoint(store, path, header='{"x":1}')
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "magic.ckpt"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
         load_checkpoint(bad_magic)
+
+    bare_store = tmp_path / "bare.ckpt"
+    bare_store.write_bytes(raw[raw.index(b"NNPS"):])
+    with pytest.raises(ValueError, match="bad checkpoint magic b'NNPS'"):
+        load_checkpoint(bare_store)
 
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(raw[:-3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wsnaslab import sampling
 from wsnaslab.nncore import named_rng
 from wsnaslab.sampling import (
     FairStepPlan,
@@ -87,12 +88,13 @@ def test_random_nas_edge_space_uniform():
     assert chi_square_uniform(list(counts.values()), draws) < chi2_cutoff(88)
 
 
-def test_random_nas_k_filter():
+def test_random_nas_k_filter(monkeypatch):
     rng = named_rng(3, "kfilter")
     for _ in range(200):
         assert sample_random_nas(MICRO, rng, k_filter=2).output_in_degree() == 2
+    monkeypatch.setattr(sampling, "REJECTION_BUDGET", 0)
     with pytest.raises(RuntimeError):
-        sample_random_nas(MICRO, rng, budget=0)
+        sample_random_nas(MICRO, rng)
 
 
 # --------------------------------------------------------------- random_a
@@ -182,11 +184,9 @@ def test_sampler_front_end_validation():
     with pytest.raises(ValueError):
         Sampler("random_a", MICRO)  # needs the index
     s = Sampler("fairnas", MICRO)
-    assert s.archs_per_step == 3
     with pytest.raises(ValueError):
         s.draw(named_rng(0, "x"))
     r = Sampler("random_nas", MICRO)
-    assert r.archs_per_step == 1
     with pytest.raises(ValueError):
         r.plan(named_rng(0, "x"))
 
