@@ -29,7 +29,7 @@ from .config import ExperimentConfig, load_config
 from .data import generate_dataset
 from .files import write_atomic, write_csv
 from .metrics import NA, REPORT_FIELDS, EvalRecord, MetricsReport, compute_report, rank_disorder
-from .nncore import finite_diff_check, load_checkpoint, named_rng, save_checkpoint, stream_key
+from .nncore import ParamStore, finite_diff_check, load_checkpoint, named_rng, save_checkpoint, stream_key
 from .protocol import (
     evaluate_path,
     loss_landscape_grid,
@@ -263,6 +263,19 @@ def cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------- landscape
 
+def _load_supernet_checkpoint(path: str) -> tuple[ParamStore, str, int]:
+    """(store, header, seed) of a checkpoint whose header is a JSON object."""
+    store, header = load_checkpoint(path)
+    try:
+        meta = json.loads(header)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path} has a header that is not JSON: {e}") from e
+    seed = meta.get("seed", 0) if isinstance(meta, dict) else None
+    if not isinstance(seed, int):
+        raise ValueError(f"checkpoint {path} has a header that is not a JSON object with an integer seed")
+    return store, header, seed
+
+
 def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dataset, index):
     if ckpt is None:
         sn, _ = train_supernet(
@@ -270,10 +283,9 @@ def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dat
             dataset, derive_run_seed(seed, config.eval.supernet_seeds[0]), index=index,
         )
         return sn
-    store, header = _read(load_checkpoint, ckpt, "checkpoint")
-    meta = json.loads(header)
+    store, header, ckpt_seed = _read(_load_supernet_checkpoint, ckpt, "checkpoint")
     sn = build_supernet(
-        config.space, config.macro, config.supernet, int(meta.get("seed", 0)),
+        config.space, config.macro, config.supernet, ckpt_seed,
         bn_affine=config.protocol.bn_affine, bn_track=config.protocol.bn_track,
         bn_momentum=config.protocol.bn_momentum, bn_eps=config.protocol.bn_eps,
     )

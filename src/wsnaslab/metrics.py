@@ -8,6 +8,19 @@ not merge distant values. The same threshold grouping applies to both sides
 of a sparse correlation; with threshold and rounding 0 the sparse metrics
 degrade exactly to their plain forms.
 
+Both correlations repeat scipy.stats' arithmetic, so they match
+`kendalltau(variant="b")` and `spearmanr` bit for bit:
+
+    tau-b = (P - Q) / sqrt(n0 - T) / sqrt(n0 - U), clamped to [-1, 1]
+    rho   = Pearson correlation of the average ranks
+
+where n0 = n(n - 1)/2 counts all pairs, P and Q the concordant and
+discordant pairs, and T and U the pairs tied in the first and in the second
+vector. P - Q = n0 - T - U + J - 2Q, with J the pairs tied in both. An
+average rank gives each member of a tie group its first 1-based position
+plus (group size - 1)/2. A NaN on either side, or a side whose values are
+all tied, leaves both correlations undefined (None).
+
 Rank convention: rank 1 is the highest accuracy.
 """
 
@@ -15,10 +28,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .files import write_csv
 from .record import Record
@@ -49,7 +62,7 @@ class EvalRecord:
     gt_accuracy: float
     supernet_accuracies: tuple[float, ...]
 
-    @property
+    @cached_property
     def supernet_mean(self) -> float:
         return float(np.mean(self.supernet_accuracies))
 
@@ -95,22 +108,69 @@ def _clean_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _undefined(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.isnan(a).any() or np.isnan(b).any() or np.all(a == a[0]) or np.all(b == b[0]))
+
+
+def _dense_ranks(v: np.ndarray) -> np.ndarray:
+    """0-based ranks of the distinct values of v."""
+    return np.unique(v, return_inverse=True)[1]
+
+
+def _tied_pairs(keys: np.ndarray) -> int:
+    """Number of position pairs with equal keys."""
+    counts = np.unique(keys, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], for 0-based dense ranks y (Fenwick tree)."""
+    size = int(y.max()) + 1
+    tree = [0] * (size + 1)  # tree[k] counts the ranks seen in (k - lowbit(k), k]
+    count = 0
+    for seen, v in enumerate(y.tolist()):
+        k, at_most = v + 1, 0
+        while k:
+            at_most += tree[k]
+            k -= k & -k
+        count += seen - at_most
+        k = v + 1
+        while k <= size:
+            tree[k] += 1
+            k += k & -k
+    return count
+
+
 def kendall_tau(a, b) -> float | None:
-    """Tie-corrected Kendall tau-b; None when either side is all tied."""
+    """Tie-corrected Kendall tau-b; None when undefined (see module docstring)."""
     a, b = _clean_pair(a, b)
-    if np.all(a == a[0]) or np.all(b == b[0]):
+    if _undefined(a, b):
         return None
-    tau = stats.kendalltau(a, b, variant="b").statistic
-    return None if np.isnan(tau) else float(tau)
+    x, y = _dense_ranks(a), _dense_ranks(b)
+    # sorted by x, then y: y ascends within each x group, so the
+    # inversions of y are exactly the discordant pairs
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    pairs = a.size * (a.size - 1) // 2
+    x_ties, y_ties = _tied_pairs(x), _tied_pairs(y)
+    joint_ties = _tied_pairs(x * (int(y.max()) + 1) + y)
+    con_minus_dis = pairs - x_ties - y_ties + joint_ties - 2 * _inversions(y)
+    tau = con_minus_dis / np.sqrt(pairs - x_ties) / np.sqrt(pairs - y_ties)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + 1 + (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(a, b) -> float | None:
-    """Spearman correlation with average-rank ties; None when degenerate."""
+    """Spearman correlation with average-rank ties; None when undefined."""
     a, b = _clean_pair(a, b)
-    if np.all(a == a[0]) or np.all(b == b[0]):
+    if _undefined(a, b):
         return None
-    rho = stats.spearmanr(a, b).statistic
-    return None if np.isnan(rho) else float(rho)
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0])
 
 
 def _sides(records: list[EvalRecord], config: MetricConfig, sparse: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -191,15 +191,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, str]:
             raise ValueError(f"bad checkpoint magic {found!r} in {path}, expected {magic!r}")
         version, size = struct.unpack("<II", take(8))
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version} in {path}")
         return size
 
-    header = take(block(HEADER_MAGIC)).decode("utf-8")
+    def text(n: int) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"text in checkpoint {path} at byte {offset - n} is not utf-8") from e
+
+    header = text(block(HEADER_MAGIC))
     count = block(MAGIC)
     store = ParamStore()
     for _ in range(count):
         (key_len,) = struct.unpack("<I", take(4))
-        key = take(key_len).decode("utf-8")
+        key = text(key_len)
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = int(np.prod(dims)) if dims else 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,19 @@ def test_landscape_checkpoint_errors(workdir, tmp_path, capsys):
     ]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: bad checkpoint magic b'NNPS'") and len(err.splitlines()) == 1
+    assert not (tmp_path / "g.csv").exists()
+
+    # a well-formed header record whose text is not a JSON object with an integer seed
+    for text in (b"not json", b"[1]", b'{"seed": "0"}', b"\xff"):
+        bad = tmp_path / "bad_header.ckpt"
+        bad.write_bytes(b"NNCK" + struct.pack("<II", 1, len(text)) + text + raw[raw.index(b"NNPS"):])
+        assert main([
+            "landscape", "--config", config_path(workdir),
+            "--out", str(tmp_path / "g.csv"), "--ckpt", str(bad),
+            "--half-points", "1", "--batch", "8",
+        ]) == 4, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and len(err.splitlines()) == 1, err
     assert not (tmp_path / "g.csv").exists()
 
     d = tiny_config_dict(workdir)

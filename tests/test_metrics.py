@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wsnaslab.metrics import (
     NA,
@@ -113,6 +118,64 @@ def test_spearman_matches_midrank_oracle():
             assert got is None
         else:
             assert got == pytest.approx(oracle_spearman(a, b), abs=1e-12)
+
+
+def _bits(value) -> bytes | None:
+    """float64 bytes of a correlation; None for undefined (None or NaN)."""
+    return None if value is None or np.isnan(value) else np.float64(value).tobytes()
+
+
+def test_rank_correlations_match_scipy_bit_for_bit():
+    """kendall_tau and spearman_rho repeat scipy's arithmetic exactly."""
+    rng = named_rng(3, "scipy-bits")
+
+    def draw(kind, n):
+        if kind == "continuous":
+            return rng.normal(size=n), rng.normal(size=n)
+        if kind == "heavy ties":
+            return rng.integers(0, 4, n).astype(np.float64), rng.integers(0, 3, n).astype(np.float64)
+        if kind == "k/45 vs rounded gt":
+            return rng.integers(0, 46, n) / 45, round_accuracies(rng.uniform(0.3, 0.9, n), 0.001)
+        # the sparse sides: negated group ranks
+        a = round_accuracies(rng.uniform(0.3, 0.9, n), 0.001)
+        b = a + rng.normal(0, 0.01, n)
+        return -sparse_ranks(b, 0.005).astype(np.float64), -sparse_ranks(a, 0.005).astype(np.float64)
+
+    kinds = ("continuous", "heavy ties", "k/45 vs rounded gt", "negated sparse ranks")
+    sizes = [int(n) for n in rng.integers(2, 300, 150)] + [1234, 1500]
+    checked = 0
+    for kind in kinds:
+        for n in sizes:
+            a, b = draw(kind, n)
+            tau, rho = kendall_tau(a, b), spearman_rho(a, b)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                assert tau is None and rho is None
+                continue
+            assert _bits(tau) == _bits(stats.kendalltau(a, b, variant="b").statistic), (kind, n)
+            assert _bits(rho) == _bits(stats.spearmanr(a, b).statistic), (kind, n)
+            checked += 1
+    assert checked > 500
+
+    # NaN on either side is undefined, as scipy's NaN is
+    for a, b in (([0.1, np.nan, 0.3], [1.0, 2.0, 3.0]), ([0.1, 0.2, 0.3], [1.0, 2.0, np.nan])):
+        assert np.isnan(stats.kendalltau(a, b, variant="b").statistic)
+        assert kendall_tau(a, b) is None and spearman_rho(a, b) is None
+    assert kendall_tau([0.5, 0.5, 0.5], [1, 2, 3]) is None
+    assert spearman_rho([1, 2, 3], [0.5, 0.5, 0.5]) is None
+    # 3 / sqrt(3) / sqrt(3) rounds above 1: both clamp it
+    assert 3 / np.sqrt(3) / np.sqrt(3) > 1.0
+    assert kendall_tau([1, 2, 3], [1, 2, 3]) == 1.0 == stats.kendalltau([1, 2, 3], [1, 2, 3]).statistic
+    assert kendall_tau([1, 2, 3], [3, 2, 1]) == -1.0 == stats.kendalltau([1, 2, 3], [3, 2, 1]).statistic
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is a test-only oracle; the runtime is numpy-only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wsnaslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_kendall_tau_frozen_values():
@@ -296,6 +359,32 @@ def test_compute_report_fields_populated():
     assert report.p_surpass_random == pytest.approx(prob_surpass_random(40, 42, 3))
     assert report.supernet_accuracy == pytest.approx(supernet_accuracy(records))
     assert report.final_performance == pytest.approx(final_performance(records, config.top_k))
+
+
+def test_compute_report_is_unchanged_on_1234_tied_records():
+    """Every field, byte for byte, against scipy on means taken per use."""
+    rng = named_rng(6, "report-1234")
+    gt = round_accuracies(rng.uniform(0.3, 0.9, 1234), 0.001)
+    acc = rng.integers(0, 46, (1234, 3)) / 45
+    records = [EvalRecord(f"h{i:04d}", float(gt[i]), tuple(acc[i].tolist())) for i in range(1234)]
+    config = MetricConfig(top_k=5)
+    report = compute_report(records, config, surpass=(40, 42, 3))
+
+    means = np.asarray([float(np.mean(r.supernet_accuracies)) for r in records])
+    s_sn = -sparse_ranks(means, config.sparse_threshold).astype(np.float64)
+    s_gt = -sparse_ranks(round_accuracies(gt, config.gt_rounding), config.sparse_threshold).astype(np.float64)
+    top = sorted(range(len(records)), key=lambda i: (-means[i], records[i].arch_hash))[: config.top_k]
+    want = MetricsReport(
+        kdt=stats.kendalltau(means, gt, variant="b").statistic,
+        s_kdt=stats.kendalltau(s_sn, s_gt, variant="b").statistic,
+        spr=stats.spearmanr(means, gt).statistic,
+        s_spr=stats.spearmanr(s_sn, s_gt).statistic,
+        p_surpass_random=prob_surpass_random(40, 42, 3),
+        supernet_accuracy=float(np.mean(means)),
+        final_performance=float(np.mean([gt[i] for i in top])),
+    )
+    assert NA not in want.as_row()
+    assert report.as_row() == want.as_row()
 
 
 def test_compute_report_degenerate_cases():
