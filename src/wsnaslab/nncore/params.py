@@ -76,6 +76,10 @@ class ParamStore:
     def keys(self) -> list[str]:
         return list(self._values)
 
+    def items(self):
+        """(key, value array) pairs in insertion order, as a live view."""
+        return self._values.items()
+
     @staticmethod
     def is_buffer(key: str) -> bool:
         return key.endswith(BUFFER_SUFFIXES)

@@ -28,9 +28,10 @@ from .supernet import (
     MacroParams,
     SuperNet,
     SuperNetConfig,
+    _eval_memos,
+    _forward,
     build_standalone,
     build_supernet,
-    forward_path,
     mean_path_loss,
     path_loss,
     path_param_count,
@@ -242,13 +243,22 @@ def evaluate_path(
 
     Evaluation keeps every example; with batch-statistics BN a trailing
     single sample is folded into the previous batch.
+
+    The stem output of each batch and the first cell's node outputs
+    except the last are cached on the super-net and reused by later
+    calls on the same x, bit for bit (see the supernet module docstring):
+    ~3.8 MiB after all 1234 n=3 architectures on the preset's eval fold.
+    The cache is dropped when the bytes of x or of any stem or stack0
+    store array change; stand-alone nets and the shuffle strategy skip it.
     """
     n = len(y)
     if n == 0:
         raise ValueError("empty evaluation set")
+    memos = _eval_memos(sn, x)
     correct = 0
     for start, stop in _eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"):
-        logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng)
+        memo = None if memos is None else memos.setdefault((start, stop), {})
+        logits, _ = _forward(sn, enc, x[start:stop], False, bn_mode, rng, memo)
         correct += int((np.argmax(logits.data, axis=1) == y[start:stop]).sum())
     return correct / n
 

@@ -42,6 +42,15 @@ def config_path(root: Path) -> str:
     return str(root / "config.json")
 
 
+@pytest.fixture(scope="module")
+def prior_run(workdir) -> Path:
+    """`run --out run_a` and `enumerate --out space.json` in the shared
+    workdir, for the tests that read those files, in whatever order they run."""
+    assert main(["run", "--config", config_path(workdir), "--out", str(workdir / "run_a")]) == 0
+    assert main(["enumerate", "--config", config_path(workdir), "--out", str(workdir / "space.json")]) == 0
+    return workdir
+
+
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
@@ -135,6 +144,7 @@ def test_run_writes_report_and_reruns_byte_identical(workdir, capsys):
     assert {r["supernet_rank"] for r in ranks} == {"1", "2"}
 
 
+@pytest.mark.usefixtures("prior_run")
 def test_run_seed_changes_artifacts(workdir):
     out_c = workdir / "run_c"
     assert main(["run", "--config", config_path(workdir), "--out", str(out_c), "--seed", "9"]) == 0
@@ -300,6 +310,7 @@ def test_landscape_grid_csv(workdir, capsys):
             assert cell == "nan" or isinstance(float(cell), float)
 
 
+@pytest.mark.usefixtures("prior_run")
 def test_landscape_single_arch_and_checkpoint_reuse(workdir, capsys):
     listing = json.loads((workdir / "space.json").read_text())
     arch = sorted(listing["architectures"])[0]
@@ -332,6 +343,7 @@ def test_library_value_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.usefixtures("prior_run")
 def test_landscape_checkpoint_errors(workdir, tmp_path, capsys):
     assert main([
         "landscape", "--config", config_path(workdir),
