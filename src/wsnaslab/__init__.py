@@ -5,59 +5,7 @@ CPU in minutes, while keeping the moving parts of full-scale weight sharing:
 a shared-parameter super-net, single-path training, samplers, batch-norm
 modes, dynamic channel handling, and rank-correlation metrics against an
 exhaustive stand-alone benchmark.
+
+The package itself exports nothing: import from its modules, as in
+`from wsnaslab.supernet import build_supernet`.
 """
-
-__version__ = "0.1.0"
-
-from .bench import BenchmarkEntry, BenchmarkTable, build_micro_benchmark, load_table, save_table
-from .config import ExperimentConfig, load_config, save_config
-from .data import Dataset, SyntheticDatasetSpec, generate_dataset
-from .metrics import EvalRecord, MetricConfig, MetricsReport, compute_report
-from .protocol import ProtocolConfig, TrainLog, train_standalone, train_supernet
-from .sampling import Sampler
-from .searchspace import (
-    CellEncoding,
-    EnumerationIndex,
-    SearchSpaceSpec,
-    canonical_hash,
-    enumerate_space,
-    is_valid,
-    validate_encoding,
-)
-from .supernet import MacroParams, SuperNet, SuperNetConfig, build_supernet, forward_path
-
-__all__ = [
-    "BenchmarkEntry",
-    "BenchmarkTable",
-    "CellEncoding",
-    "Dataset",
-    "EnumerationIndex",
-    "EvalRecord",
-    "ExperimentConfig",
-    "MacroParams",
-    "MetricConfig",
-    "MetricsReport",
-    "ProtocolConfig",
-    "Sampler",
-    "SearchSpaceSpec",
-    "SuperNet",
-    "SuperNetConfig",
-    "SyntheticDatasetSpec",
-    "TrainLog",
-    "build_micro_benchmark",
-    "build_supernet",
-    "canonical_hash",
-    "compute_report",
-    "enumerate_space",
-    "forward_path",
-    "generate_dataset",
-    "is_valid",
-    "load_config",
-    "load_table",
-    "save_config",
-    "save_table",
-    "train_standalone",
-    "train_supernet",
-    "validate_encoding",
-    "__version__",
-]

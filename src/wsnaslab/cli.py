@@ -76,6 +76,13 @@ def _matching_table(config: ExperimentConfig, bench_path: str | None) -> Benchma
     return table
 
 
+def _require_in_table(table: BenchmarkTable, hashes, what: str) -> None:
+    known = set(table.hashes())
+    missing = sum(h not in known for h in hashes)
+    if missing:
+        raise CliError(f"{missing} {what} missing from the table", EXIT_MISMATCH)
+
+
 def derive_run_seed(seed: int, label: int) -> int:
     """Independent super-net seed from (global seed, seed label)."""
     return int(stream_key("supernet-run", seed, label) & 0x7FFFFFFF)
@@ -173,10 +180,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     index = enumerate_space(config.space)
     hashes = _select_eval_hashes(config, index, seed)
-    known = set(table.hashes())
-    missing = [h for h in hashes if h not in known]
-    if missing:
-        raise CliError(f"{len(missing)} evaluation architectures missing from the table", EXIT_MISMATCH)
+    _require_in_table(table, hashes, "evaluation architectures")
     dataset = generate_dataset(config.dataset, config.benchmark.base_seed)
     _, _, x_val, y_val = dataset.split(config.protocol.train_portion)
     if config.eval.bn_mode == "tracked" and not config.protocol.bn_track:
@@ -323,6 +327,8 @@ def cmd_histogram(args) -> int:
     config = load_config(args.config)
     index = enumerate_space(config.space)
     table = _matching_table(config, args.bench) if args.bench else None
+    if table is not None:
+        _require_in_table(table, index.hashes, "architectures of the space")
     sampler = Sampler(config.protocol.sampler, config.space, index=index, k_filter=config.supernet.fixed_k)
     counts = sampling_histogram(sampler, args.draws, args.seed)
     unknown = set(counts) - set(index.hashes)

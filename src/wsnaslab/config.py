@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SyntheticDatasetSpec
-from .files import write_atomic
 from .metrics import MetricConfig
 from .protocol import ProtocolConfig
 from .record import Record
@@ -103,10 +102,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"{path}: {e}") from e
 
 
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    write_atomic(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 __all__ = [
     "CONFIG_SECTIONS",
     "BenchmarkSettings",
@@ -114,5 +109,4 @@ __all__ = [
     "ExperimentConfig",
     "OutputSettings",
     "load_config",
-    "save_config",
 ]

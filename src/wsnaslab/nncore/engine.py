@@ -8,11 +8,14 @@ a forward leaves no reference cycle: the tape and its activations are
 freed by reference counting once the last Value and the tape go.
 backward() pops each node before it runs the node's backward, so a
 closure, and the activations only it holds, are freed as soon as its
-gradient has been passed on. The tape is consumed before that walk, so a
-backward that raises cannot be retried on half-summed gradients. A tape
-built with record=False (forward_path in eval mode) pushes no nodes, so
-it keeps no activation or backward closure alive and cannot be
-differentiated: its backward() raises.
+gradient has been passed on. It pops the node output's gradient with it,
+so once the walk ends the tape holds gradients for leaves only (Tape.input
+values and parameters): input_grad() of an intermediate value is None.
+The tape is consumed before that walk, so a backward that raises cannot
+be retried on half-summed gradients. A tape built with record=False
+(forward_path in eval mode) pushes no nodes, so it keeps no activation or
+backward closure alive and cannot be differentiated: its backward()
+raises.
 
 Only inputs and parameters need gradients; a value needs one only if some
 parent does. Constants (the training batch in forward_path, zero_op
@@ -67,23 +70,20 @@ class Value:
         self.idx = idx
         self.needs_grad = needs_grad
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
 
 class Tape:
     """Records forward nodes and walks them once in reverse.
 
-    A tape is single-use: after backward() it is consumed and any further
-    forward or backward call raises. A tape built with record=False keeps
-    no nodes, so each activation is freed as soon as the next primitive
-    has used it; its backward() raises.
+    A tape reads its parameters, and its dtype, from a ParamStore. It is
+    single-use: after backward() it is consumed and any further forward or
+    backward call raises. A tape built with record=False keeps no nodes,
+    so each activation is freed as soon as the next primitive has used
+    it; its backward() raises.
     """
 
-    def __init__(self, store: ParamStore | None = None, dtype=None, record: bool = True):
+    def __init__(self, store: ParamStore, record: bool = True):
         self.store = store
-        self.dtype = np.dtype(dtype) if dtype is not None else (store.dtype if store else np.dtype(np.float32))
+        self.dtype = store.dtype
         self.record = record
         self._nodes: list[tuple[int, tuple[int | None, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
@@ -125,8 +125,6 @@ class Tape:
     def param(self, key: str) -> Value:
         """Leaf tied to a store parameter; backward accumulates store grads."""
         self._check_live()
-        if self.store is None:
-            raise RuntimeError("tape has no parameter store")
         if key in self._params:
             return Value(np.asarray(self.store.get(key), dtype=self.dtype), self, self._params[key], True)
         v = self._new_value(self.store.get(key), True)
@@ -134,9 +132,10 @@ class Tape:
         return v
 
     def backward(self, loss: Value) -> None:
-        """Walk the nodes in reverse, popping each before its backward runs,
-        so its closure and the activations only it holds are freed once its
-        gradient has been passed on. The tape is consumed before the walk:
+        """Walk the nodes in reverse, popping each, and its output's
+        gradient, before its backward runs, so its closure, the activations
+        only it holds and that gradient are freed once it has been passed
+        on; leaf gradients stay. The tape is consumed before the walk:
         a backward that raises leaves no half-filled gradients to retry."""
         self._check_live()
         if not self.record:
@@ -149,7 +148,7 @@ class Tape:
         nodes = self._nodes
         while nodes:
             idx, parents, node_backward = nodes.pop()
-            d_out = grads.get(idx)
+            d_out = grads.pop(idx, None)
             if d_out is None:
                 continue
             for parent, contrib in zip(parents, node_backward(d_out)):
@@ -166,6 +165,8 @@ class Tape:
                 self.store.accumulate_grad(key, g)
 
     def input_grad(self, value: Value) -> np.ndarray | None:
+        """The gradient of a Tape.input leaf after backward(); None for
+        constants and for intermediate values, whose gradients are freed."""
         return self._grads.get(value.idx)
 
     def param_keys(self) -> list[str]:
@@ -395,24 +396,19 @@ def concat_channels(xs: list[Value]) -> Value:
     return tape._push(np.concatenate([v.data for v in xs], axis=1), xs, backward)
 
 
-def channel_pad(x: Value, target: int, axis: int = 1) -> Value:
-    """Zero-pad along `axis` up to `target` entries."""
+def channel_pad(x: Value, target: int) -> Value:
+    """Zero-pad the channel axis (axis 1) up to `target` channels."""
     tape = _tape_of(x)
-    current = x.data.shape[axis]
+    current = x.data.shape[1]
     if current > target:
         raise ValueError(f"channel_pad cannot shrink {current} -> {target}")
     if current == target:
         return x
-    keep = [slice(None)] * x.data.ndim
-    keep[axis] = slice(0, current)
-    keep = tuple(keep)
-    shape = list(x.data.shape)
-    shape[axis] = target
-    out = np.zeros(shape, dtype=x.data.dtype)
-    out[keep] = x.data
+    out = np.zeros((x.data.shape[0], target) + x.data.shape[2:], dtype=x.data.dtype)
+    out[:, :current] = x.data
 
     def backward(d_out):
-        return (d_out[keep],)
+        return (d_out[:, :current],)
 
     return tape._push(out, (x,), backward)
 
@@ -555,8 +551,6 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
     """
     tape = _tape_of(x)
     store = tape.store
-    if store is None:
-        raise RuntimeError("batchnorm needs a tape with a parameter store")
     if bn_mode not in ("batch", "tracked"):
         raise ValueError(f"unknown bn_mode {bn_mode!r}")
     if x.data.ndim not in (2, 4):

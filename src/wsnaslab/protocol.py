@@ -11,7 +11,6 @@ previous batch when batch statistics are in use).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,9 +28,9 @@ from .supernet import (
     SuperNet,
     SuperNetConfig,
     _eval_memos,
-    _forward,
     build_standalone,
     build_supernet,
+    forward_path,
     mean_path_loss,
     path_loss,
     path_param_count,
@@ -97,17 +96,6 @@ class TrainLog:
         write_csv(path, [["epoch", "loss", "lr"]] + [
             [e["epoch"], repr(float(e["loss"])), repr(float(e["lr"]))] for e in self.entries
         ])
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "TrainLog":
-        log = cls()
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != ["epoch", "loss", "lr"]:
-                raise ValueError(f"unexpected train log columns {reader.fieldnames} in {path}")
-            for row in reader:
-                log.append(int(row["epoch"]), float(row["loss"]), float(row["lr"]))
-        return log
 
 
 class SGD:
@@ -258,7 +246,7 @@ def evaluate_path(
     correct = 0
     for start, stop in _eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"):
         memo = None if memos is None else memos.setdefault((start, stop), {})
-        logits, _ = _forward(sn, enc, x[start:stop], False, bn_mode, rng, memo)
+        logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng, memo=memo)
         correct += int((np.argmax(logits.data, axis=1) == y[start:stop]).sum())
     return correct / n
 

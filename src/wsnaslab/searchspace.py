@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .record import Record
 
@@ -107,11 +107,6 @@ class SearchSpaceSpec(Record, label="space"):
     def op_slots(self, edges: tuple[tuple[int, int], ...]) -> int:
         """Op indices an encoding with these edges carries."""
         return self.n_nodes if self.op_placement == "node" else len(edges)
-
-
-def make_chain_space(spec: SearchSpaceSpec) -> SearchSpaceSpec:
-    """Chain-topology restriction of a dag spec (same ops and semantics)."""
-    return replace(spec, topology_mode="chain")
 
 
 @dataclass(frozen=True)
@@ -333,9 +328,6 @@ class EnumerationIndex:
                 h for h in self.hashes if k is None or self.representatives[h].output_in_degree() == k
             )
         return found
-
-    def encoding_for(self, arch_hash: str) -> CellEncoding:
-        return self.representatives[arch_hash]
 
 
 def enumerate_space(spec: SearchSpaceSpec) -> EnumerationIndex:

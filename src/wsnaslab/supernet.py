@@ -29,9 +29,10 @@ uses). The cache holds one eval set and is emptied when the eval set's
 bytes or the bytes of any store array under stem/ or stack0/ differ from
 those it was filled with (store.set, SGD, in-place BN buffer updates);
 on the preset's eval fold it holds ~3.8 MiB after all 1234 n=3
-architectures. Train forwards, forward_path itself, stand-alone nets
-(restricted_to set) and the shuffle strategy, whose slices draw from the
-rng, never use it.
+architectures. evaluate_path and mean_path_loss hand forward_path the
+memo of each eval span. Train forwards, forward_path calls without a
+memo, stand-alone nets (restricted_to set) and the shuffle strategy,
+whose slices draw from the rng, never use it.
 """
 
 from __future__ import annotations
@@ -489,6 +490,7 @@ def forward_path(
     train: bool = True,
     bn_mode: str = "batch",
     rng: np.random.Generator | None = None,
+    memo: dict | None = None,
 ) -> tuple[Value, Tape]:
     """Run one architecture through the shared weights.
 
@@ -497,21 +499,12 @@ def forward_path(
     it frees activations as it goes and cannot be backpropagated.
     An rng is required when the forward is stochastic (dropout in train
     mode, or the shuffle channel strategy).
+
+    memo, for eval forwards only, is the eval memo from _eval_memos of
+    the one span of the eval set that x is: the forward reads the stem
+    and first-cell node outputs it holds and stores those it computes.
+    Without one (the default) nothing is shared or kept.
     """
-    return _forward(sn, enc, x, train, bn_mode, rng)
-
-
-def _forward(
-    sn: SuperNet,
-    enc: CellEncoding,
-    x: np.ndarray,
-    train: bool,
-    bn_mode: str,
-    rng: np.random.Generator | None,
-    memo: dict | None = None,
-) -> tuple[Value, Tape]:
-    """forward_path, reading and filling an eval memo (see _eval_memos) when
-    one is given; a memo only serves the one span of the eval set it is for."""
     sn.check_arch(enc)
     needs_rng = sn.config.channel_strategy == "shuffle" or (
         train and (sn.config.path_dropout > 0.0 or sn.config.global_dropout > 0.0)
@@ -594,7 +587,7 @@ def mean_path_loss(
     memo = None if memos is None else memos.setdefault((0, len(x)), {})
     total = 0.0
     for enc in encs:
-        logits, _ = _forward(sn, enc, x, False, bn_mode, None, memo)
+        logits, _ = forward_path(sn, enc, x, train=False, bn_mode=bn_mode, memo=memo)
         total += float(nn.cross_entropy(logits, y).data)
     return total / len(encs)
 

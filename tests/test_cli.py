@@ -275,6 +275,20 @@ def test_histogram_csv_contents(workdir, capsys):
     assert {r["gt_rank"] for r in read_csv(no_bench)} == {"NA"}
 
 
+def test_histogram_with_architectures_missing_from_the_table_exits_3(workdir, tmp_path, capsys):
+    partial = tmp_path / "partial.jsonl"
+    header, *lines = (workdir / "bench.jsonl").read_text().splitlines()
+    dropped = json.loads(lines[-1])["arch_hash"]
+    kept = [line for line in lines if json.loads(line)["arch_hash"] != dropped]
+    partial.write_text("\n".join([header] + kept) + "\n")
+    out = tmp_path / "hist.csv"
+    assert main(["histogram", "--config", config_path(workdir), "--draws", "5",
+                 "--out", str(out), "--bench", str(partial)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: 1 architectures of the space missing from the table\n"
+    assert not out.exists()
+
+
 def test_histogram_honours_fixed_k(tmp_path, capsys):
     preset = tmp_path / "preset.json"
     assert main(["presets", "--name", "micro-node-concat", "--out", str(preset)]) == 0

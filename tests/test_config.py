@@ -13,7 +13,6 @@ from wsnaslab.config import (
     ExperimentConfig,
     OutputSettings,
     load_config,
-    save_config,
 )
 
 
@@ -129,5 +128,5 @@ def test_save_and_load_config_round_trip(tmp_path):
         "eval": {"supernet_seeds": [0, 1], "bn_mode": "batch"},
     })
     path = tmp_path / "config.json"
-    save_config(config, path)
+    path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
     assert load_config(path) == config

@@ -81,14 +81,14 @@ def archs(spec, config):
 def logits_seen(monkeypatch):
     """Raw bytes of every eval logit evaluate_path computes, in order."""
     seen: list[bytes] = []
-    real = protocol._forward
+    real = protocol.forward_path
 
-    def recording(*args):
-        logits, tape = real(*args)
+    def recording(*args, **kwargs):
+        logits, tape = real(*args, **kwargs)
         seen.append(logits.data.tobytes())
         return logits, tape
 
-    monkeypatch.setattr(protocol, "_forward", recording)
+    monkeypatch.setattr(protocol, "forward_path", recording)
     return seen
 
 
@@ -103,7 +103,8 @@ def cached(seen, sn, enc, x, y, bn_mode, rng=None):
 
 
 def cold(sn, enc, x, bn_mode, rng=None):
-    """The same logits from forward_path, which never reads or fills the cache."""
+    """The same logits from forward_path without a memo, which never reads or
+    fills the cache."""
     out = []
     try:
         for start, stop in _eval_spans(len(x), BATCH, fold_singleton=bn_mode == "batch"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import subprocess
@@ -375,12 +376,11 @@ def test_train_log_csv_round_trip(tmp_path):
     log.append(1, 0.75, 0.024999999999999998)
     path = tmp_path / "log.csv"
     log.save_csv(path)
-    loaded = TrainLog.load_csv(path)
-    assert loaded.entries == log.entries
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        TrainLog.load_csv(bad)
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        rows = [{"epoch": int(r["epoch"]), "loss": float(r["loss"]), "lr": float(r["lr"])} for r in reader]
+    assert reader.fieldnames == ["epoch", "loss", "lr"]
+    assert rows == log.entries
 
 
 # -------------------------------------------------------------- landscapes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 from importlib import resources
@@ -15,7 +16,6 @@ from wsnaslab.searchspace import (
     canonical_hash,
     enumerate_space,
     is_valid,
-    make_chain_space,
     partition_by_output_edges,
     validate_encoding,
 )
@@ -93,7 +93,7 @@ def test_canonical_hash_agrees_with_brute_force(spec):
 
 
 def test_chain_space_brute_force():
-    spec = make_chain_space(SearchSpaceSpec(n_nodes=2, ops=("conv3x3", "conv1x1")))
+    spec = SearchSpaceSpec(n_nodes=2, ops=("conv3x3", "conv1x1"), topology_mode="chain")
     raw = all_valid_raw(spec)
     hashes = [canonical_hash(spec, e) for e in raw]
     for i in range(len(raw)):
@@ -127,7 +127,7 @@ def test_spec_rejects_unknown_op_and_duplicates():
 
 
 def test_spec_dict_round_trip():
-    for spec in (MICRO, TINY, EDGE2, make_chain_space(MICRO)):
+    for spec in (MICRO, TINY, EDGE2, dataclasses.replace(MICRO, topology_mode="chain")):
         assert SearchSpaceSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError):
         SearchSpaceSpec.from_dict({**MICRO.to_dict(), "bogus": 1})
@@ -148,7 +148,7 @@ def test_validation_reason_codes():
     enc = CellEncoding(2, chain, (0,))
     assert validate_encoding(MICRO, enc) == ["bad_op"]
 
-    cspec = make_chain_space(MICRO)
+    cspec = dataclasses.replace(MICRO, topology_mode="chain")
     enc = CellEncoding(2, ((0, 1), (1, 3), (2, 3), (0, 2)), (0, 0))
     assert "chain_violation" in validate_encoding(cspec, enc)
 
@@ -285,7 +285,7 @@ def test_tiny_space_counts():
 
 
 def test_chain_space_counts():
-    spec = make_chain_space(SearchSpaceSpec(n_nodes=3, ops=("conv3x3", "conv1x1", "avgpool3x3")))
+    spec = SearchSpaceSpec(n_nodes=3, ops=("conv3x3", "conv1x1", "avgpool3x3"), topology_mode="chain")
     index = enumerate_space(spec)
     assert index.raw_count == 27
     assert index.unique_count == 27
@@ -306,7 +306,7 @@ def test_representative_is_minimal_and_valid():
 
 
 def test_enumeration_guard_trips():
-    big = make_chain_space(SearchSpaceSpec(n_nodes=11, ops=("conv3x3", "conv1x1", "avgpool3x3")))
+    big = SearchSpaceSpec(n_nodes=11, ops=("conv3x3", "conv1x1", "avgpool3x3"), topology_mode="chain")
     with pytest.raises(ValueError):
         enumerate_space(big)
 
