@@ -17,13 +17,13 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .data import SyntheticDatasetSpec, generate_dataset
 from .files import write_atomic
-from .metrics import sparse_ranks
 from .nncore import stream_key
 from .protocol import ProtocolConfig, train_standalone
 from .record import Record
@@ -76,7 +76,6 @@ class BenchmarkTable:
         for e in self.entries:
             self._by_hash.setdefault(e.arch_hash, []).append(e)
         self._hashes = list(self._by_hash)
-        self._worst_first: dict[float, dict[str, int]] = {}
 
     def hashes(self) -> list[str]:
         return list(self._hashes)
@@ -100,30 +99,19 @@ class BenchmarkTable:
     def encoding_for(self, arch_hash: str) -> CellEncoding:
         return self.entries_for(arch_hash)[0].encoding
 
-    def gt_rank(self, arch_hash: str, threshold: float = 0.0) -> int:
-        """Rank counted from the worst (r_max = best).
-
-        threshold 0: bijection onto 1..r_max, ties broken by hash.
-        threshold > 0: groups share a rank per the sparse convention.
-        The rank map is built once per threshold; the table is not
-        modified after construction.
-        """
-        ranks = self._worst_first.get(threshold)
-        if ranks is None:
-            ranks = self._worst_first[threshold] = self._rank_map(threshold)
-        if arch_hash not in ranks:
+    def gt_rank(self, arch_hash: str) -> int:
+        """Rank counted from the worst: a bijection onto 1..r_max, where
+        r_max is the best architecture and equal means are ordered by hash.
+        The rank map is built on the first call; the table is not modified
+        after construction."""
+        if arch_hash not in self._worst_first:
             raise KeyError(f"architecture {arch_hash!r} not in the table")
-        return ranks[arch_hash]
+        return self._worst_first[arch_hash]
 
-    def _rank_map(self, threshold: float) -> dict[str, int]:
-        hashes = self._hashes
-        means = {h: self.gt_mean(h) for h in hashes}
-        if threshold == 0.0:
-            ordered = sorted(hashes, key=lambda h: (means[h], h))
-            return {h: i + 1 for i, h in enumerate(ordered)}
-        best_first = sparse_ranks(np.asarray([means[h] for h in hashes]), threshold)
-        worst_first = best_first.max() - best_first + 1
-        return {h: int(r) for h, r in zip(hashes, worst_first)}
+    @cached_property
+    def _worst_first(self) -> dict[str, int]:
+        ordered = sorted(self._hashes, key=lambda h: (self.gt_mean(h), h))
+        return {h: i + 1 for i, h in enumerate(ordered)}
 
     @property
     def r_max(self) -> int:
@@ -246,14 +234,3 @@ def load_table(path: str | Path) -> BenchmarkTable:
         entries=entries,
         meta=header.get("meta", {}),
     )
-
-
-__all__ = [
-    "BenchmarkEntry",
-    "BenchmarkTable",
-    "build_micro_benchmark",
-    "derive_job_seed",
-    "load_table",
-    "protocol_digest",
-    "save_table",
-]

@@ -30,16 +30,10 @@ from .data import generate_dataset
 from .files import write_atomic, write_csv
 from .metrics import NA, REPORT_FIELDS, EvalRecord, MetricsReport, compute_report, rank_disorder
 from .nncore import ParamStore, finite_diff_check, load_checkpoint, named_rng, save_checkpoint, stream_key
-from .protocol import (
-    evaluate_path,
-    loss_landscape_grid,
-    standalone_landscape_loss_fn,
-    supernet_landscape_loss_fn,
-    train_supernet,
-)
+from .protocol import loss_landscape_grid, standalone_landscape_loss_fn, supernet_landscape_loss_fn, train_supernet
 from .sampling import Sampler, sampling_histogram
 from .searchspace import SearchSpaceSpec, enumerate_space
-from .supernet import MacroParams, SuperNetConfig, build_supernet, checkpoint_header, path_loss
+from .supernet import MacroParams, SuperNetConfig, build_supernet, checkpoint_header, evaluate_path, path_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,8 +177,6 @@ def run_experiment(
     _require_in_table(table, hashes, "evaluation architectures")
     dataset = generate_dataset(config.dataset, config.benchmark.base_seed)
     _, _, x_val, y_val = dataset.split(config.protocol.train_portion)
-    if config.eval.bn_mode == "tracked" and not config.protocol.bn_track:
-        raise CliError("eval bn_mode 'tracked' needs protocol.bn_track true", EXIT_CONFIG)
 
     accuracies: dict[str, list[float]] = {h: [] for h in hashes}
     for label in config.eval.supernet_seeds:

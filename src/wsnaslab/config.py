@@ -3,7 +3,9 @@
 Every section maps onto a dataclass elsewhere in the package and is read
 by the strict codec in `record`; unknown sections, unknown keys and values
 of the wrong type raise instead of being ignored or cast, so a typo never
-silently runs with defaults.
+silently runs with defaults. The rules that span two sections (class and
+channel counts, tracked eval statistics, the fixed_k sub-space) are
+checked by ExperimentConfig, so a config that breaks one fails at load.
 """
 
 from __future__ import annotations
@@ -69,11 +71,21 @@ class ExperimentConfig(Record, label="config"):
     output: OutputSettings = field(default_factory=OutputSettings)
 
     def __post_init__(self):
+        """Rules that span sections, checked at load, before any work."""
         # both sections persist their own copy (table header, checkpoint header, config.json)
         for key in ("num_classes", "in_channels"):
             ours, theirs = getattr(self.macro, key), getattr(self.dataset, key)
             if ours != theirs:
                 raise ValueError(f"macro.{key} ({ours}) must equal dataset.{key} ({theirs})")
+        if self.eval.bn_mode == "tracked" and not self.protocol.bn_track:
+            raise ValueError("eval.bn_mode 'tracked' needs protocol.bn_track true")
+        k = self.supernet.fixed_k
+        if k is not None:
+            if self.space.channel_mode != "dynamic":
+                raise ValueError("supernet.fixed_k needs a dynamic-channel space (space.channel_mode 'dynamic')")
+            top = sum(v == self.space.output_node for _, v in self.space.candidate_edges())
+            if k > top:
+                raise ValueError(f"supernet.fixed_k ({k}) exceeds {top}, the largest output in-degree of the space")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -100,13 +112,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
     except (ValueError, TypeError) as e:
         raise ValueError(f"{path}: {e}") from e
-
-
-__all__ = [
-    "CONFIG_SECTIONS",
-    "BenchmarkSettings",
-    "EvalSettings",
-    "ExperimentConfig",
-    "OutputSettings",
-    "load_config",
-]

@@ -38,6 +38,3 @@ def write_csv(path: str | Path, rows) -> None:
     buffer = io.StringIO(newline="")
     csv.writer(buffer).writerows(rows)
     write_atomic(path, buffer.getvalue())
-
-
-__all__ = ["write_atomic", "write_csv"]

@@ -27,7 +27,7 @@ Rank convention: rank 1 is the highest accuracy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -249,16 +249,6 @@ def rank_disorder(records: list[EvalRecord]) -> list[tuple[str, int, int]]:
 
 # ----------------------------------------------------------------- report
 
-REPORT_FIELDS = (
-    "kdt",
-    "s_kdt",
-    "spr",
-    "s_spr",
-    "p_surpass_random",
-    "supernet_accuracy",
-    "final_performance",
-)
-
 NA = "NA"
 
 
@@ -288,6 +278,9 @@ class MetricsReport:
             row = next(reader)
         values = {f: (None if v == NA else float(v)) for f, v in zip(REPORT_FIELDS, row)}
         return cls(**values)
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def compute_report(

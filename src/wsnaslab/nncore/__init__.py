@@ -34,34 +34,3 @@ from .engine import (
 )
 from .gradcheck import finite_diff_check
 from .params import ParamStore, load_checkpoint, named_rng, save_checkpoint, stream_key
-
-__all__ = [
-    "BNState",
-    "ParamStore",
-    "Tape",
-    "Value",
-    "avgpool3x3",
-    "batchnorm",
-    "channel_pad",
-    "concat_channels",
-    "conv1x1",
-    "conv3x3",
-    "cross_entropy",
-    "dropout_mask",
-    "finite_diff_check",
-    "global_pool",
-    "linear",
-    "load_checkpoint",
-    "matmul2d",
-    "mix_axis",
-    "mul_mask",
-    "named_rng",
-    "reduce_sum",
-    "relu",
-    "reshape",
-    "save_checkpoint",
-    "stream_key",
-    "sum_tensors",
-    "take_axis",
-    "zero_op",
-]

@@ -4,9 +4,9 @@ The optimizer is SGD with momentum and coupled weight decay (v <- m*v + g +
 d*w; w <- w - lr*v), applied only to the parameters the step's forward
 touched, so one single-path step modifies exactly the selected path's
 subset. The learning rate follows a half-cosine over epochs and is constant
-within an epoch. The last incomplete training batch of an epoch is dropped;
-evaluation keeps all examples (folding a trailing single sample into the
-previous batch when batch statistics are in use).
+within an epoch. The last incomplete training batch of an epoch is dropped,
+and a training fold smaller than one batch is refused before any step.
+Evaluation is supernet.evaluate_path.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .supernet import (
     MacroParams,
     SuperNet,
     SuperNetConfig,
-    _eval_memos,
     build_standalone,
     build_supernet,
-    forward_path,
+    evaluate_path,
     mean_path_loss,
     path_loss,
     path_param_count,
@@ -162,6 +161,8 @@ def _train(pconfig: ProtocolConfig, x_train, y_train, batch_rng, step) -> TrainL
 
     step(xb, yb, lr) runs one update and returns (mean loss, passes).
     """
+    if len(y_train) < pconfig.batch_size:
+        raise ValueError(f"{len(y_train)} training examples cannot fill a batch of {pconfig.batch_size}")
     log = TrainLog()
     for epoch in range(pconfig.epochs):
         lr = cosine_lr(pconfig.learning_rate, epoch, pconfig.epochs)
@@ -196,8 +197,6 @@ def train_supernet(
     )
     sampler = Sampler(pconfig.sampler, spec, index=index, k_filter=sn_config.fixed_k)
     x_train, y_train, _, _ = dataset.split(pconfig.train_portion)
-    if len(y_train) < pconfig.batch_size:
-        raise ValueError(f"{len(y_train)} training examples cannot fill a batch of {pconfig.batch_size}")
     opt = SGD(pconfig.momentum, pconfig.weight_decay)
     sampler_rng = named_rng(seed, "sampler")
     forward_rng = named_rng(seed, "forward")
@@ -208,47 +207,6 @@ def train_supernet(
         return spos_step(sn, opt, sampler.draw(sampler_rng), xb, yb, lr, forward_rng), 1
 
     return sn, _train(pconfig, x_train, y_train, named_rng(seed, "batches"), step)
-
-
-def _eval_spans(n: int, batch_size: int, fold_singleton: bool) -> list[tuple[int, int]]:
-    spans = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
-    if fold_singleton and len(spans) >= 2 and spans[-1][1] - spans[-1][0] == 1:
-        spans[-2] = (spans[-2][0], n)
-        spans.pop()
-    return spans
-
-
-def evaluate_path(
-    sn: SuperNet,
-    enc: CellEncoding,
-    x: np.ndarray,
-    y: np.ndarray,
-    batch_size: int,
-    bn_mode: str = "batch",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Top-1 accuracy of one architecture through the shared weights.
-
-    Evaluation keeps every example; with batch-statistics BN a trailing
-    single sample is folded into the previous batch.
-
-    The stem output of each batch and the first cell's node outputs
-    except the last are cached on the super-net and reused by later
-    calls on the same x, bit for bit (see the supernet module docstring):
-    ~3.8 MiB after all 1234 n=3 architectures on the preset's eval fold.
-    The cache is dropped when the bytes of x or of any stem or stack0
-    store array change; stand-alone nets and the shuffle strategy skip it.
-    """
-    n = len(y)
-    if n == 0:
-        raise ValueError("empty evaluation set")
-    memos = _eval_memos(sn, x)
-    correct = 0
-    for start, stop in _eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"):
-        memo = None if memos is None else memos.setdefault((start, stop), {})
-        logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng, memo=memo)
-        correct += int((np.argmax(logits.data, axis=1) == y[start:stop]).sum())
-    return correct / n
 
 
 @dataclass
@@ -353,8 +311,8 @@ def supernet_landscape_loss_fn(
     sampler = Sampler("random_a", sn.spec, index=index, k_filter=sn.config.fixed_k)
     rng = named_rng(seed, "landscape-paths")
     encs = [sampler.draw(rng) for _ in range(num_paths)]
-    return lambda store: mean_path_loss(sn, encs, x, y)
+    return lambda store: mean_path_loss(sn, encs, x, y, rng=named_rng(sn.seed, "landscape-forward"))
 
 
 def standalone_landscape_loss_fn(sn: SuperNet, enc: CellEncoding, x: np.ndarray, y: np.ndarray):
-    return lambda store: mean_path_loss(sn, [enc], x, y)
+    return lambda store: mean_path_loss(sn, [enc], x, y, rng=named_rng(sn.seed, "landscape-forward"))

@@ -98,6 +98,3 @@ class Record:
                         f"{cls._label}.{name} must be {_describe(hints[name])}, got {d[name]!r}"
                     ) from None
         return cls(**kwargs)
-
-
-__all__ = ["Record"]

@@ -15,24 +15,26 @@ Stand-alone networks and per-sub-space super-nets are the same machinery
 with channel_strategy="disabled" (constant intermediate width, no slicing),
 so their forwards agree bitwise with the shared builder at equal seeds.
 
-Eval forwards share work across architectures. Under eval the stem output
-is a pure function of the weights and the batch, and so is each first-cell
-node's output given its op, width, bn_mode and inputs. evaluate_path and
-mean_path_loss therefore keep, on the net, the stem output of each eval
-batch and the outputs of first-cell nodes 1..n-1, keyed by node id, op
+Eval forwards share work across architectures. The two eval loops live
+here, next to the cache they fill: evaluate_path (accuracy, the eval set in
+spans of batch_size) and mean_path_loss (loss, the eval set as one span).
+Under eval the stem output is a pure function of the weights and the batch,
+and so is each first-cell node's output given its op, width, bn_mode and
+inputs. The two loops therefore keep, on the net, the stem output of each
+eval span and the outputs of first-cell nodes 1..n-1, keyed by node id, op
 (the in-edge ops under edge placement), width, bn_mode and the inputs'
 keys. An architecture whose keys were seen reads those read-only arrays
 instead of recomputing them, so every logit is bit for bit a cold
 forward's. The last intermediate node is not cached: its value fixes the
-whole cell, so it is rarely shared (816 distinct values in 1234 n=3
-uses). The cache holds one eval set and is emptied when the eval set's
-bytes or the bytes of any store array under stem/ or stack0/ differ from
-those it was filled with (store.set, SGD, in-place BN buffer updates);
-on the preset's eval fold it holds ~3.8 MiB after all 1234 n=3
-architectures. evaluate_path and mean_path_loss hand forward_path the
-memo of each eval span. Train forwards, forward_path calls without a
-memo, stand-alone nets (restricted_to set) and the shuffle strategy,
-whose slices draw from the rng, never use it.
+whole cell, so it is rarely shared (816 distinct values in 1234 n=3 uses).
+The cache holds one eval set and is emptied when the eval set's bytes or
+the bytes of any store array under stem/ or stack0/ differ from those it
+was filled with (store.set, SGD, in-place BN buffer updates); on the
+preset's eval fold it holds ~3.8 MiB after all 1234 n=3 architectures. Both
+loops hand forward_path the memo of each eval span and the rng their caller
+passed. Train forwards, forward_path calls without a memo, stand-alone nets
+(restricted_to set) and the shuffle strategy, whose slices draw from that
+rng, never use the cache.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class SuperNetConfig(Record, label="supernet"):
             raise ValueError("channel_strategy=disabled needs fixed_k (a fixed-in-degree sub-space)")
         if self.channel_strategy != "disabled" and self.fixed_k is not None:
             raise ValueError("fixed_k only applies to channel_strategy=disabled")
+        if self.fixed_k is not None and self.fixed_k < 1:
+            raise ValueError(f"fixed_k must be at least 1, got {self.fixed_k}")
         if not 0.0 <= self.path_dropout < 1.0 or not 0.0 <= self.global_dropout < 1.0:
             raise ValueError("dropout rates must lie in [0, 1)")
 
@@ -252,12 +256,7 @@ def build_standalone(
     if reasons:
         raise ValueError(f"invalid architecture: {reasons}")
     k = enc.output_in_degree() if spec.channel_mode == "dynamic" else None
-    config = SuperNetConfig(
-        channel_strategy="disabled" if k is not None else "fixed_chunk",
-        dynamic_channel_train=False,
-        dynamic_channel_test=False,
-        fixed_k=k,
-    )
+    config = SuperNetConfig(channel_strategy="disabled" if k is not None else "fixed_chunk", fixed_k=k)
     return build_supernet(
         spec, macro, config, seed,
         bn_affine=bn_affine, bn_track=bn_track, bn_momentum=bn_momentum, bn_eps=bn_eps, restrict_to=enc,
@@ -573,21 +572,57 @@ def path_loss(
     return nn.cross_entropy(logits, y), tape
 
 
+def _eval_spans(n: int, batch_size: int, fold_singleton: bool) -> list[tuple[int, int]]:
+    spans = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+    if fold_singleton and len(spans) >= 2 and spans[-1][1] - spans[-1][0] == 1:
+        spans[-2] = (spans[-2][0], n)
+        spans.pop()
+    return spans
+
+
+def evaluate_path(
+    sn: SuperNet,
+    enc: CellEncoding,
+    x: np.ndarray,
+    y: np.ndarray,
+    batch_size: int,
+    bn_mode: str = "batch",
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Top-1 accuracy of one architecture through the shared weights.
+
+    Evaluation keeps every example, in spans of batch_size; with
+    batch-statistics BN a trailing single sample is folded into the
+    previous span. Spans share the eval cache (module docstring).
+    """
+    n = len(y)
+    if n == 0:
+        raise ValueError("empty evaluation set")
+    memos = _eval_memos(sn, x)
+    correct = 0
+    for start, stop in _eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"):
+        memo = None if memos is None else memos.setdefault((start, stop), {})
+        logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng, memo=memo)
+        correct += int((np.argmax(logits.data, axis=1) == y[start:stop]).sum())
+    return correct / n
+
+
 def mean_path_loss(
     sn: SuperNet,
     encs: list[CellEncoding],
     x: np.ndarray,
     y: np.ndarray,
     bn_mode: str = "batch",
+    rng: np.random.Generator | None = None,
 ) -> float:
-    """Mean per-path loss on frozen weights (eval mode, no updates)."""
+    """Mean per-path loss on frozen weights (eval mode, no updates), x as one batch."""
     if not encs:
         raise ValueError("no architectures given")
     memos = _eval_memos(sn, x)
     memo = None if memos is None else memos.setdefault((0, len(x)), {})
     total = 0.0
     for enc in encs:
-        logits, _ = forward_path(sn, enc, x, train=False, bn_mode=bn_mode, memo=memo)
+        logits, _ = forward_path(sn, enc, x, train=False, bn_mode=bn_mode, rng=rng, memo=memo)
         total += float(nn.cross_entropy(logits, y).data)
     return total / len(encs)
 

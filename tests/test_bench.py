@@ -117,19 +117,6 @@ def test_gt_rank_breaks_exact_ties_by_hash():
     assert ranks["aa"] == 2 and ranks["bb"] == 3  # hash order within the tie
 
 
-def test_gt_rank_threshold_groups_near_ties():
-    t = synthetic_table({
-        "aa": [(0, 0.5, 0.900)],
-        "bb": [(0, 0.5, 0.896)],
-        "cc": [(0, 0.5, 0.800)],
-        "dd": [(0, 0.5, 0.700)],
-    })
-    assert t.gt_rank("aa", threshold=0.01) == 3
-    assert t.gt_rank("bb", threshold=0.01) == 3  # shares the top group
-    assert t.gt_rank("cc", threshold=0.01) == 2
-    assert t.gt_rank("dd", threshold=0.01) == 1
-
-
 def test_gt_rank_matches_a_brute_force_sort_on_a_large_table():
     """The cached worst-first map equals a fresh sort for every hash."""
     rng = np.random.default_rng(0)
@@ -141,14 +128,6 @@ def test_gt_rank_matches_a_brute_force_sort_on_a_large_table():
     by_mean = sorted(means, key=lambda h: (means[h], h))
     for h in means:
         assert t.gt_rank(h) == by_mean.index(h) + 1
-    threshold = 0.01
-    best_first, rank, anchor = {}, 0, None
-    for h in sorted(means, key=lambda h: (-means[h], h)):
-        if anchor is None or not (means[h] == anchor or anchor - means[h] < threshold):
-            rank, anchor = rank + 1, means[h]
-        best_first[h] = rank
-    for h in means:
-        assert t.gt_rank(h, threshold=threshold) == rank - best_first[h] + 1
     with pytest.raises(KeyError):
         t.gt_rank("absent")
 

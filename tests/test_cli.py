@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,40 @@ def test_mismatched_class_or_channel_counts_exit_2_before_any_work(tmp_path, cap
     assert not (tmp_path / "bench.jsonl").exists()
 
 
+def preset_dict(name: str) -> dict:
+    return json.loads((resources.files("wsnaslab") / "presets" / f"{name}.json").read_text())
+
+
+SUB_SPACE_FAULTS = {
+    "fixed_k-0": ("micro-node-concat", 0, "fixed_k must be at least 1"),
+    "fixed_k-n_nodes+1": ("micro-node-concat", 3, "supernet.fixed_k (3) exceeds 2"),
+    "disabled-on-fixed-channels": ("edge-sum-fixed", 2, "supernet.fixed_k needs a dynamic-channel space"),
+}
+SUB_SPACE_COMMANDS = {
+    "run": [],
+    "histogram": ["--draws", "5"],
+    "landscape": ["--half-points", "1", "--num-paths", "1", "--batch", "8"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUB_SPACE_COMMANDS))
+@pytest.mark.parametrize("fault", list(SUB_SPACE_FAULTS))
+def test_fixed_k_outside_the_space_exits_2_at_load(tmp_path, capsys, fault, command):
+    """No table is built, so a check after load would exit 4 for `run`."""
+    preset, k, message = SUB_SPACE_FAULTS[fault]
+    d = preset_dict(preset)
+    d["supernet"].update(channel_strategy="disabled", fixed_k=k)
+    d["benchmark"]["path"] = str(tmp_path / "bench.jsonl")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *SUB_SPACE_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}: {message}")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_run_without_table_exits_4(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(tiny_config_dict(tmp_path)))
@@ -106,6 +142,17 @@ def test_enumerate_counts_and_listing(workdir, capsys):
 
 
 # ------------------------------------------------------ build-benchmark
+
+def test_build_benchmark_refuses_a_batch_larger_than_the_training_fold(tmp_path, capsys):
+    d = tiny_config_dict(tmp_path)
+    d["protocol"]["batch_size"] = 64  # the 36-image pool leaves 32 for training
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["build-benchmark", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 32 training examples cannot fill a batch of 64\n"
+    assert not (tmp_path / "bench.jsonl").exists()
+
 
 def test_benchmark_table_written_by_fixture(workdir):
     table = load_table(workdir / "bench.jsonl")
@@ -198,7 +245,11 @@ def test_run_tracked_eval_without_tracking_exits_2(workdir, tmp_path, capsys):
     d["eval"]["bn_mode"] = "tracked"
     cfg = tmp_path / "tracked.json"
     cfg.write_text(json.dumps(d))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: eval.bn_mode 'tracked' needs protocol.bn_track true\n"
+        assert not (tmp_path / "y").exists()
 
 
 def test_run_with_disabled_slicing_ranks_its_sub_space(tmp_path, capsys):
@@ -322,6 +373,22 @@ def test_landscape_grid_csv(workdir, capsys):
     for row in rows:
         for cell in row:
             assert cell == "nan" or isinstance(float(cell), float)
+
+
+def test_landscape_on_the_shuffle_strategy_writes_the_same_finite_grid_twice(tmp_path, capsys):
+    d = tiny_config_dict(tmp_path)
+    d["supernet"] = {"channel_strategy": "shuffle"}
+    cfg = tmp_path / "shuffle.json"
+    cfg.write_text(json.dumps(d))
+    grids = []
+    for name in ("a.csv", "b.csv"):
+        assert main(["landscape", "--config", str(cfg), "--out", str(tmp_path / name),
+                     "--half-points", "1", "--num-paths", "2", "--batch", "8"]) == 0
+        grids.append((tmp_path / name).read_bytes())
+    assert grids[0] == grids[1]
+    with open(tmp_path / "a.csv", newline="") as f:
+        cells = [float(cell) for row in csv.reader(f) for cell in row]
+    assert len(cells) == 9 and all(math.isfinite(c) for c in cells)
 
 
 @pytest.mark.usefixtures("prior_run")

@@ -114,6 +114,35 @@ def test_class_and_channel_counts_must_agree_at_load(tmp_path, macro, dataset):
     assert getattr(matching.macro, key) == getattr(matching.dataset, key) == dataset[key]
 
 
+EDGE_SUM_FIXED = {"n_nodes": 2, "ops": ["conv3x3", "conv1x1"], "op_placement": "edge",
+                  "merge_rule": "sum", "channel_mode": "fixed"}
+
+
+@pytest.mark.parametrize("config, error, fixed", [
+    pytest.param({"supernet": {"channel_strategy": "disabled", "fixed_k": 0}},
+                 "fixed_k must be at least 1", {"supernet": {"fixed_k": 1}}, id="fixed_k-0"),
+    pytest.param({"supernet": {"channel_strategy": "disabled", "fixed_k": 3}},
+                 r"supernet\.fixed_k \(3\) exceeds 2, the largest output in-degree", {"supernet": {"fixed_k": 2}},
+                 id="fixed_k-n_nodes+1"),
+    pytest.param({"space": {"topology_mode": "chain"}, "supernet": {"channel_strategy": "disabled", "fixed_k": 2}},
+                 r"supernet\.fixed_k \(2\) exceeds 1,", {"supernet": {"fixed_k": 1}}, id="fixed_k-2-on-a-chain"),
+    pytest.param({"space": EDGE_SUM_FIXED, "supernet": {"channel_strategy": "disabled", "fixed_k": 2}},
+                 "supernet.fixed_k needs a dynamic-channel space",
+                 {"space": {"channel_mode": "dynamic", "op_placement": "node", "merge_rule": "concat"}},
+                 id="disabled-on-fixed-channels"),
+    pytest.param({"eval": {"bn_mode": "tracked"}},
+                 "eval.bn_mode 'tracked' needs protocol.bn_track true", {"protocol": {"bn_track": True}},
+                 id="tracked-eval-untracked-bn"),
+])
+def test_rules_across_sections_fail_at_load(tmp_path, config, error, fixed):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=f"rules.json: {error}"):
+        load_config(path)
+    # the same config with the offending value mended loads
+    ExperimentConfig.from_dict({s: {**config.get(s, {}), **fixed.get(s, {})} for s in {*config, *fixed}})
+
+
 def test_float_fields_keep_ints_and_optional_fields_take_null():
     config = ExperimentConfig.from_dict({"protocol": {"learning_rate": 1}, "supernet": {"fixed_k": None}})
     assert config.to_dict()["protocol"]["learning_rate"] == 1

@@ -16,18 +16,20 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from wsnaslab import protocol
+from wsnaslab import supernet
 from wsnaslab.config import load_config
 from wsnaslab.data import generate_dataset
 from wsnaslab.nncore import named_rng
-from wsnaslab.protocol import _eval_spans, evaluate_path, mean_path_loss
 from wsnaslab.searchspace import SearchSpaceSpec, enumerate_space
 from wsnaslab.supernet import (
     MacroParams,
     SuperNetConfig,
+    _eval_spans,
     build_standalone,
     build_supernet,
+    evaluate_path,
     forward_path,
+    mean_path_loss,
     path_loss,
 )
 
@@ -81,14 +83,14 @@ def archs(spec, config):
 def logits_seen(monkeypatch):
     """Raw bytes of every eval logit evaluate_path computes, in order."""
     seen: list[bytes] = []
-    real = protocol.forward_path
+    real = supernet.forward_path
 
     def recording(*args, **kwargs):
         logits, tape = real(*args, **kwargs)
         seen.append(logits.data.tobytes())
         return logits, tape
 
-    monkeypatch.setattr(protocol, "forward_path", recording)
+    monkeypatch.setattr(supernet, "forward_path", recording)
     return seen
 
 

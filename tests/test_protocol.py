@@ -436,6 +436,15 @@ def test_landscape_loss_fns_are_deterministic():
     assert alone(sn.store) == float(loss.data)
 
 
+def test_supernet_landscape_loss_runs_on_shuffle_and_is_a_function_of_the_weights():
+    """Shuffle slices draw from an rng; each call draws from a fresh one."""
+    sn = build_supernet(MICRO, MACRO, SuperNetConfig(channel_strategy="shuffle"), seed=11)
+    x, y = batch(3)
+    loss_fn = supernet_landscape_loss_fn(sn, x, y, enumerate_space(MICRO), num_paths=4, seed=2)
+    first = loss_fn(sn.store)
+    assert math.isfinite(first) and loss_fn(sn.store) == first
+
+
 # ------------------------------------------------------------------ config
 
 def test_protocol_config_validation_and_round_trip():

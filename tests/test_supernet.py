@@ -386,6 +386,9 @@ def test_supernet_config_validation():
         SuperNetConfig(channel_strategy="disabled")  # no fixed_k
     with pytest.raises(ValueError):
         SuperNetConfig(channel_strategy="fixed_chunk", fixed_k=2)
+    for k in (0, -1):  # alloc_width divides by fixed_k
+        with pytest.raises(ValueError, match="fixed_k must be at least 1"):
+            SuperNetConfig(channel_strategy="disabled", fixed_k=k)
     with pytest.raises(ValueError):
         SuperNetConfig(path_dropout=1.0)
     with pytest.raises(ValueError):
