@@ -4,8 +4,9 @@ Every section maps onto a dataclass elsewhere in the package and is read
 by the strict codec in `record`; unknown sections, unknown keys and values
 of the wrong type raise instead of being ignored or cast, so a typo never
 silently runs with defaults. The rules that span two sections (class and
-channel counts, tracked eval statistics, the fixed_k sub-space) are
-checked by ExperimentConfig, so a config that breaks one fails at load.
+channel counts, tracked eval statistics, the fixed_k sub-space, the OFA
+kernel's vocabulary) are checked by ExperimentConfig, so a config that
+breaks one fails at load.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class ExperimentConfig(Record, label="config"):
             top = sum(v == self.space.output_node for _, v in self.space.candidate_edges())
             if k > top:
                 raise ValueError(f"supernet.fixed_k ({k}) exceeds {top}, the largest output in-degree of the space")
+        if self.supernet.ofa_kernel and not {"conv3x3", "conv1x1"} <= set(self.space.ops):
+            raise ValueError("supernet.ofa_kernel needs both conv3x3 and conv1x1 in space.ops")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

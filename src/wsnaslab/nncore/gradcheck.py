@@ -30,6 +30,8 @@ def finite_diff_check(
     "epsilon": epsilon, "elements_checked": int}. Relative error uses
     |fd - analytic| / max(|fd|, |analytic|, 1e-6).
     """
+    if max_elements_per_param is not None and max_elements_per_param < 1:
+        raise ValueError(f"max_elements_per_param must be at least 1, got {max_elements_per_param}")
     work = store.astype(np.float64)
     buffers = {k: work.get(k).copy() for k in work.keys() if work.is_buffer(k)}
 

@@ -175,6 +175,12 @@ def validate_encoding(spec: SearchSpaceSpec, enc: CellEncoding) -> list[str]:
     or out-of-vocabulary index), "chain_violation" (non-sequential edge in a
     chain spec), "dangling" (an intermediate node off every input->output
     path). Cycles are unrepresentable.
+
+    "dangling" is a degree test, and it equals path reachability: a node
+    without an in-edge or an out-edge is on no path, and when every
+    intermediate node has both, a walk back along in-edges strictly
+    descends and can only stop at node 0, and a walk forward along
+    out-edges strictly ascends and can only stop at the output node.
     """
     reasons: list[str] = []
     out = spec.output_node
@@ -192,26 +198,7 @@ def validate_encoding(spec: SearchSpaceSpec, enc: CellEncoding) -> list[str]:
         if any(e not in chain for e in enc.edges):
             reasons.append("chain_violation")
 
-    # reachability from input and co-reachability to output
-    fwd = {0}
-    frontier = [0]
-    succ = {v: [j for i, j in enc.edges if i == v] for v in range(out + 1)}
-    pred = {v: [i for i, j in enc.edges if j == v] for v in range(out + 1)}
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if w not in fwd:
-                fwd.add(w)
-                frontier.append(w)
-    bwd = {out}
-    frontier = [out]
-    while frontier:
-        v = frontier.pop()
-        for u in pred[v]:
-            if u not in bwd:
-                bwd.add(u)
-                frontier.append(u)
-    if any(v not in fwd or v not in bwd for v in range(1, out)):
+    if any(not enc.in_edges(v) or not enc.out_edges(v) for v in range(1, out)):
         reasons.append("dangling")
     return reasons
 

@@ -178,8 +178,6 @@ def build_supernet(
     that share a key agree on its initial value regardless of what else
     they allocate.
     """
-    if config.ofa_kernel and not ("conv3x3" in spec.ops and "conv1x1" in spec.ops):
-        raise ValueError("ofa_kernel needs both conv3x3 and conv1x1 in the vocabulary")
     store = ParamStore(seed=seed)
     bn_states: dict[str, BNState] = {}
     c = macro.init_channels
@@ -331,20 +329,17 @@ def interpolation_matrix(c_max: int, c: int) -> np.ndarray:
 
 
 def _slice_axis(v: Value, c: int, axis: int, strategy: str, rng: np.random.Generator | None) -> Value:
+    """Narrow `axis` to c entries by the channel strategy.
+
+    Every caller narrows (c <= the axis length), and forward_path has
+    already refused a shuffle forward without an rng."""
     full = v.data.shape[axis]
     if full == c:
         return v
-    if full < c:
-        raise ValueError(f"cannot widen axis {axis} from {full} to {c}")
-    if strategy in ("fixed_chunk", "disabled"):
-        return nn.take_axis(v, np.arange(c), axis)
-    if strategy == "shuffle":
-        if rng is None:
-            raise ValueError("shuffle strategy needs an rng")
-        return nn.take_axis(v, rng.permutation(full)[:c], axis)
     if strategy == "interpolate":
         return nn.mix_axis(v, interpolation_matrix(full, c), axis)
-    raise ValueError(f"unknown channel strategy {strategy!r}")
+    keep = rng.permutation(full)[:c] if strategy == "shuffle" else np.arange(c)
+    return nn.take_axis(v, keep, axis)
 
 
 def _slice_weight_2d(v: Value, c_out: int, c_in: int, strategy: str, rng) -> Value:
@@ -355,14 +350,8 @@ def _slice_weight_2d(v: Value, c_out: int, c_in: int, strategy: str, rng) -> Val
 
 def _merge(sn: SuperNet, tensors: list[Value], target: int, rng) -> Value:
     """Merge incoming tensors to `target` channels by the spec's rule."""
-    rule = sn.spec.merge_rule
     strategy = sn.config.channel_strategy
-    if rule == "sum":
-        for t in tensors:
-            if t.data.shape[1] != target:
-                raise ValueError(
-                    f"sum merge requires equal channel counts, got {t.data.shape[1]} vs {target}"
-                )
+    if sn.spec.merge_rule == "sum":
         return tensors[0] if len(tensors) == 1 else nn.sum_tensors(tensors)
     chunk = max(1, target // len(tensors))
     pieces = [_slice_axis(t, min(chunk, t.data.shape[1]), 1, strategy, rng) for t in tensors]
@@ -395,7 +384,7 @@ def _apply_op(
         if width < sn.alloc_width:
             w = _slice_weight_2d(w, width, width, strategy, rng)
         y = nn.conv3x3(x, w)
-    elif op == "conv1x1":
+    else:  # conv1x1: SearchSpaceSpec admits no op outside OP_VOCABULARY
         if sn.config.ofa_kernel:
             w3 = tape.param(f"{site}/conv3x3/weight")
             proj = tape.param(f"{site}/ofa_proj")
@@ -409,8 +398,6 @@ def _apply_op(
         if width < sn.alloc_width:
             w = _slice_weight_2d(w, width, width, strategy, rng)
         y = nn.conv1x1(x, w)
-    else:
-        raise ValueError(f"unknown op {op!r}")
     if not sn.config.wsbn:
         y = nn.batchnorm(y, sn.bn_states[f"{site}/{op}/bn"], train=train, bn_mode=bn_mode)
     return nn.relu(y)
@@ -465,10 +452,7 @@ def _cell_forward(
             if hit is not None:
                 tensors[v] = tape.constant(hit)
                 continue
-        ins = incoming(v)
-        if not ins:
-            raise ValueError(f"node {v} has no inputs (invalid architecture)")
-        merged = _merge(sn, ins, width, rng)
+        merged = _merge(sn, incoming(v), width, rng)
         if spec.op_placement == "node":
             site = _site(stack, spec, v)
             merged = _apply_op(sn, tape, site, spec.ops[enc.ops[v - 1]], merged, width, train, bn_mode, rng)
@@ -476,10 +460,7 @@ def _cell_forward(
         if key is not None:
             memo[key] = _frozen(merged.data)
 
-    out_ins = incoming(spec.output_node)
-    if not out_ins:
-        raise ValueError("output node has no inputs (invalid architecture)")
-    return _merge(sn, out_ins, c_out, rng)
+    return _merge(sn, incoming(spec.output_node), c_out, rng)
 
 
 def forward_path(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from wsnaslab import cli
 from wsnaslab.bench import load_table
 from wsnaslab.cli import main
 from wsnaslab.config import ExperimentConfig
@@ -229,15 +230,29 @@ def test_run_with_mismatched_table_exits_3(workdir, tmp_path, capsys):
     assert main(["run", "--config", str(other), "--out", str(tmp_path / "x")]) == 3
 
 
-def test_run_with_architectures_missing_from_the_table_exits_3(workdir, tmp_path, capsys):
+def table_missing_one_architecture(workdir: Path, tmp_path: Path) -> Path:
     partial = tmp_path / "partial.jsonl"
     lines = (workdir / "bench.jsonl").read_text().splitlines()
     dropped = json.loads(lines[1])["arch_hash"]  # line 0 is the header
     kept = lines[:1] + [line for line in lines[1:] if json.loads(line)["arch_hash"] != dropped]
     partial.write_text("\n".join(kept) + "\n")
+    return partial
+
+
+def test_run_with_architectures_missing_from_the_table_exits_3(workdir, tmp_path, capsys):
+    partial = table_missing_one_architecture(workdir, tmp_path)
     assert main(["run", "--config", config_path(workdir), "--bench", str(partial),
                  "--out", str(tmp_path / "x")]) == 3
     assert "1 evaluation architectures missing from the table" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_with_architectures_missing_from_the_table_makes_no_directory(workdir, tmp_path, capsys):
+    partial = table_missing_one_architecture(workdir, tmp_path)
+    assert main(["sweep", "--config", config_path(workdir), "--bench", str(partial),
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "1 evaluation architectures missing from the table" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_tracked_eval_without_tracking_exits_2(workdir, tmp_path, capsys):
@@ -412,16 +427,50 @@ def test_landscape_single_arch_and_checkpoint_reuse(workdir, capsys):
 
 def test_library_value_error_exits_2(tmp_path, capsys):
     d = tiny_config_dict(tmp_path)
+    d["space"]["n_nodes"] = 6  # 27 candidate edges, over the skeleton enumeration guard
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["enumerate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot enumerate skeletons over 27 candidate edges")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def _no_dataset(*args, **kwargs):
+    raise AssertionError("a dataset was generated")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batch", "-5"), ("--batch", "0"), ("--batch", "1"),
+    ("--num-paths", "0"), ("--half-points", "0"), ("--radius", "0"), ("--radius", "-1.5"),
+])
+def test_landscape_refuses_bad_values_when_parsing(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(cli, "generate_dataset", _no_dataset)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(tiny_config_dict(tmp_path)))
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["landscape", "--config", str(cfg), "--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be greater than" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(SUB_SPACE_COMMANDS))
+def test_ofa_kernel_without_both_kernels_exits_2_at_load(tmp_path, capsys, monkeypatch, command):
+    """No table is built, so a check after load would exit 4 for `run`."""
+    monkeypatch.setattr(cli, "generate_dataset", _no_dataset)
+    d = tiny_config_dict(tmp_path)
     d["space"]["ops"] = ["conv3x3"]
     d["supernet"] = {"ofa_kernel": True}
     cfg = tmp_path / "ofa.json"
     cfg.write_text(json.dumps(d))
-    out = tmp_path / "grid.csv"
-    assert main(["landscape", "--config", str(cfg), "--out", str(out), "--half-points", "1",
-                 "--num-paths", "1", "--batch", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ofa_kernel needs both conv3x3 and conv1x1")
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *SUB_SPACE_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: supernet.ofa_kernel needs both conv3x3 and conv1x1 in space.ops\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.usefixtures("prior_run")
@@ -477,6 +526,14 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     stdout = capsys.readouterr().out
     assert "max relative error" in stdout
     assert "ok (tolerance" in stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gradcheck_refuses_to_probe_fewer_than_one_element(capsys, count):
+    assert main(["gradcheck", "--max-elements", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: max_elements_per_param must be at least 1, got {count}\n"
+    assert captured.out == ""
 
 
 def test_gradcheck_fails_at_impossible_tolerance(capsys):

@@ -133,6 +133,9 @@ EDGE_SUM_FIXED = {"n_nodes": 2, "ops": ["conv3x3", "conv1x1"], "op_placement": "
     pytest.param({"eval": {"bn_mode": "tracked"}},
                  "eval.bn_mode 'tracked' needs protocol.bn_track true", {"protocol": {"bn_track": True}},
                  id="tracked-eval-untracked-bn"),
+    pytest.param({"space": {"n_nodes": 1, "ops": ["conv3x3", "avgpool3x3"]}, "supernet": {"ofa_kernel": True}},
+                 "supernet.ofa_kernel needs both conv3x3 and conv1x1 in space.ops",
+                 {"space": {"ops": ["conv3x3", "conv1x1", "avgpool3x3"]}}, id="ofa-kernel-without-conv1x1"),
 ])
 def test_rules_across_sections_fail_at_load(tmp_path, config, error, fixed):
     path = tmp_path / "rules.json"

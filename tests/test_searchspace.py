@@ -168,6 +168,53 @@ def test_validation_reason_codes():
     assert is_valid(MICRO, enc)
 
 
+def reachability_reasons(spec: SearchSpaceSpec, enc: CellEncoding) -> list[str]:
+    """Reference validator: "dangling" by a breadth-first search from the
+    input and a backward one from the output, the other codes as specified."""
+    out = spec.output_node
+    reasons = []
+    if (0, out) in enc.edges:
+        reasons.append("forbidden_edge")
+    if len(enc.ops) != spec.op_slots(enc.edges) or any(not 0 <= o < spec.num_ops for o in enc.ops):
+        reasons.append("bad_op")
+    if spec.topology_mode == "chain" and not set(enc.edges) <= set(spec.chain_edges()):
+        reasons.append("chain_violation")
+
+    def reached(start: int, step: dict[int, list[int]]) -> set[int]:
+        seen, frontier = {start}, [start]
+        while frontier:
+            for w in step[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    fwd = reached(0, {v: [j for i, j in enc.edges if i == v] for v in range(out + 1)})
+    bwd = reached(out, {v: [i for i, j in enc.edges if j == v] for v in range(out + 1)})
+    if any(v not in fwd or v not in bwd for v in range(1, out)):
+        reasons.append("dangling")
+    return reasons
+
+
+@pytest.mark.parametrize("placement, topology", [
+    ("node", "dag"), ("node", "chain"), ("edge", "dag"), ("edge", "chain"),
+])
+def test_dangling_rule_matches_path_reachability_on_every_edge_set(placement, topology):
+    """Every subset of the upper triangle, the input->output edge included."""
+    pairing = {"node": ("concat", "dynamic"), "edge": ("sum", "fixed")}[placement]
+    checked = 0
+    for n in range(1, 5):
+        spec = SearchSpaceSpec(n_nodes=n, ops=("conv3x3", "conv1x1"), op_placement=placement,
+                               merge_rule=pairing[0], channel_mode=pairing[1], topology_mode=topology)
+        triangle = [(i, j) for j in range(n + 2) for i in range(j)]
+        for mask in range(1 << len(triangle)):
+            edges = tuple(e for b, e in enumerate(triangle) if mask >> b & 1)
+            enc = CellEncoding(n, edges, (0,) * spec.op_slots(edges))
+            assert validate_encoding(spec, enc) == reachability_reasons(spec, enc), enc
+            checked += 1
+    assert checked == 8 + 64 + 1024 + 32768  # 33,864 edge sets per space kind
+
+
 def test_edge_placement_op_count_follows_edges():
     enc = CellEncoding(2, ((0, 1), (1, 2), (2, 3)), (0, 1, 0))
     assert is_valid(EDGE2, enc)

@@ -395,12 +395,6 @@ def test_supernet_config_validation():
         SuperNetConfig(channel_strategy="nope")
 
 
-def test_ofa_requires_both_kernels_in_vocabulary():
-    spec = SearchSpaceSpec(n_nodes=1, ops=("conv3x3", "avgpool3x3"))
-    with pytest.raises(ValueError):
-        build_supernet(spec, MACRO, SuperNetConfig(ofa_kernel=True), seed=0)
-
-
 def test_checkpoint_header_is_stable_and_discriminating():
     a = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=0)
     b = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=0)
