@@ -96,9 +96,6 @@ class BenchmarkTable:
     def max_seed_spread(self) -> float:
         return max(self.seed_spread(h) for h in self.hashes())
 
-    def encoding_for(self, arch_hash: str) -> CellEncoding:
-        return self.entries_for(arch_hash)[0].encoding
-
     def gt_rank(self, arch_hash: str) -> int:
         """Rank counted from the worst: a bijection onto 1..r_max, where
         r_max is the best architecture and equal means are ordered by hash.

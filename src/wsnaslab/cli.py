@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-benchmark", help="train the ground-truth table")
     common(p, seed=False, out="table path (default: config benchmark.path)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel training processes")
+    p.add_argument("--jobs", type=_above(int, 0), default=1, help="parallel training processes")
     p.set_defaults(fn=cmd_build_benchmark)
 
     p = sub.add_parser("run", help="train super-nets and report ranking metrics")
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="sampler visit counts")
     common(p, bench=True)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=_above(int, 0), default=1000)
     p.add_argument("--out", required=True, help="histogram CSV path")
     p.set_defaults(fn=cmd_histogram)
 

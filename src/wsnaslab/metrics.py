@@ -26,7 +26,6 @@ Rank convention: rank 1 is the highest accuracy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -267,17 +266,6 @@ class MetricsReport:
 
     def save_csv(self, path: str | Path) -> None:
         write_csv(path, [REPORT_FIELDS, self.as_row()])
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "MetricsReport":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if tuple(header) != REPORT_FIELDS:
-                raise ValueError(f"unexpected report columns {header} in {path}")
-            row = next(reader)
-        values = {f: (None if v == NA else float(v)) for f, v in zip(REPORT_FIELDS, row)}
-        return cls(**values)
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))

@@ -9,6 +9,7 @@ store, since float32 forward noise would swamp the difference quotient.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -28,8 +29,11 @@ def finite_diff_check(
 
     Returns {"per_param": {key: max relative error}, "max_rel_err": float,
     "epsilon": epsilon, "elements_checked": int}. Relative error uses
-    |fd - analytic| / max(|fd|, |analytic|, 1e-6).
+    |fd - analytic| / max(|fd|, |analytic|, 1e-6); a non-finite error
+    (a NaN or infinite loss or gradient) counts as infinite.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if max_elements_per_param is not None and max_elements_per_param < 1:
         raise ValueError(f"max_elements_per_param must be at least 1, got {max_elements_per_param}")
     work = store.astype(np.float64)
@@ -75,7 +79,7 @@ def finite_diff_check(
             fd = (plus - minus) / (2.0 * epsilon)
             a = grad_flat[i]
             err = abs(fd - a) / max(abs(fd), abs(a), 1e-6)
-            worst = max(worst, err)
+            worst = max(worst, err if math.isfinite(err) else math.inf)
             checked += 1
         per_param[key] = worst
     return {

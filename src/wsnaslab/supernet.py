@@ -15,6 +15,12 @@ Stand-alone networks and per-sub-space super-nets are the same machinery
 with channel_strategy="disabled" (constant intermediate width, no slicing),
 so their forwards agree bitwise with the shared builder at equal seeds.
 
+_layout is the one owner of the parameter layout: every store entry of the
+net, or of one path, in store order. build_supernet creates what it lists;
+select_path and path_param_count read it for one path without touching the
+store; _apply_op reads an op's weights from _op_weights, which _layout also
+reads (under ofa_kernel a conv1x1 reads the site's 3x3 kernel and a projection).
+
 Eval forwards share work across architectures. The two eval loops live
 here, next to the cache they fill: evaluate_path (accuracy, the eval set in
 spans of batch_size) and mean_path_loss (loss, the eval set as one span).
@@ -40,6 +46,7 @@ rng, never use the cache.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,10 +121,7 @@ class SuperNet:
 
     @property
     def alloc_width(self) -> int:
-        c = self.macro.init_channels
-        if self.config.channel_strategy == "disabled":
-            return max(1, c // self.config.fixed_k)
-        return c
+        return _alloc_width(self.macro, self.config)
 
     def check_arch(self, enc: CellEncoding) -> None:
         reasons = validate_encoding(self.spec, enc)
@@ -132,7 +136,13 @@ class SuperNet:
             raise ValueError("stand-alone network only runs its own architecture")
 
 
-# -------------------------------------------------------------- site names
+# ------------------------------------------------------------------ layout
+
+def _alloc_width(macro: MacroParams, config: SuperNetConfig) -> int:
+    """Allocated intermediate width: floor(C / fixed_k) in a sub-space, else C."""
+    c = macro.init_channels
+    return max(1, c // config.fixed_k) if config.channel_strategy == "disabled" else c
+
 
 def _site(stack: int, spec: SearchSpaceSpec, where) -> str:
     if spec.op_placement == "node":
@@ -145,18 +155,51 @@ def _wsbn_key(stack: int, v: int, u: int) -> str:
     return f"stack{stack}/wsbn/node{v}/from{u}/bn"
 
 
-def _possible_preds(spec: SearchSpaceSpec, v: int) -> list[int]:
-    """Nodes that may feed v (input->output is never representable)."""
-    preds = list(range(v))
-    if v == spec.output_node and 0 in preds:
-        preds.remove(0)
-    return preds
+def _op_weights(config: SuperNetConfig, site: str, op: str, width: int) -> dict[str, tuple]:
+    """key -> (shape, init, fan_in) of each weight `op` reads at `site`, in read order."""
+    conv3x3 = {f"{site}/conv3x3/weight": ((width, width, 3, 3), "normal", width * 9)}
+    if op == "conv3x3":
+        return conv3x3
+    if op != "conv1x1":
+        return {}
+    if config.ofa_kernel:  # the 1x1 kernel is a projection of the 3x3 kernel's center
+        return {**conv3x3, f"{site}/ofa_proj": ((width, width), "identity", None)}
+    return {f"{site}/conv1x1/weight": ((width, width), "normal", width)}
 
 
-def _site_wheres(spec: SearchSpaceSpec):
+def _layout(
+    spec: SearchSpaceSpec, macro: MacroParams, config: SuperNetConfig, enc: CellEncoding | None = None,
+) -> dict[str, tuple]:
+    """Every store entry of the net, or of the one path enc, in store order.
+
+    key -> (shape, init, fan_in). A BN site is one entry, key -> ((channels,),
+    "bn", None); BNState names its store keys under it. Shapes are the
+    allocated ones, so a path's entries are the net's entries it reads.
+    """
+    c = macro.init_channels
+    width = _alloc_width(macro, config)
+    edges = spec.possible_edges() if enc is None else enc.edges
     if spec.op_placement == "node":
-        return list(range(1, spec.n_nodes + 1))
-    return list(spec.possible_edges())
+        chosen = {v: None if enc is None else enc.ops[v - 1] for v in range(1, spec.n_nodes + 1)}
+    else:
+        chosen = {e: None if enc is None else enc.edge_op(e) for e in edges}
+    layout = {
+        "stem/conv/weight": ((c, macro.in_channels, 3, 3), "normal", macro.in_channels * 9),
+        "stem/bn": ((c,), "bn", None),
+    }
+    for stack in range(macro.num_layers):
+        for where, index in chosen.items():
+            site = _site(stack, spec, where)
+            for op in spec.ops if index is None else [spec.ops[index]]:
+                layout.update(_op_weights(config, site, op, width))
+                if op in PARAMETRIC_OPS and not config.wsbn:
+                    layout[f"{site}/{op}/bn"] = ((width,), "bn", None)
+        if config.wsbn:
+            for u, v in sorted(edges, key=lambda e: (e[1], e[0])):
+                layout[_wsbn_key(stack, v, u)] = ((c,), "bn", None)
+    layout["classifier/weight"] = ((c, macro.num_classes), "normal", c)
+    layout["classifier/bias"] = ((macro.num_classes,), "zeros", None)
+    return layout
 
 
 # ----------------------------------------------------------------- builder
@@ -180,63 +223,14 @@ def build_supernet(
     """
     store = ParamStore(seed=seed)
     bn_states: dict[str, BNState] = {}
-    c = macro.init_channels
-
-    def new_bn(key: str, channels: int) -> None:
-        state = BNState(key, channels, affine=bn_affine, track=bn_track, momentum=bn_momentum, eps=bn_eps)
-        state.create_params(store)
-        bn_states[key] = state
-
-    store.create("stem/conv/weight", (c, macro.in_channels, 3, 3), init="normal", fan_in=macro.in_channels * 9)
-    new_bn("stem/bn", c)
-
-    sn = SuperNet(spec, macro, config, store, bn_states, seed, bn_affine, bn_track, restricted_to=restrict_to)
-    width = sn.alloc_width
-
-    def active_ops(where) -> list[str]:
-        if restrict_to is None:
-            return list(spec.ops)
-        if spec.op_placement == "node":
-            return [spec.ops[restrict_to.ops[where - 1]]]
-        if where in restrict_to.edges:
-            return [spec.ops[restrict_to.edge_op(where)]]
-        return []
-
-    def active_wheres():
-        if restrict_to is None or spec.op_placement == "node":
-            return _site_wheres(spec)
-        return list(restrict_to.edges)
-
-    for stack in range(macro.num_layers):
-        for where in active_wheres():
-            site = _site(stack, spec, where)
-            ops_here = active_ops(where)
-            if config.ofa_kernel and any(op in PARAMETRIC_OPS for op in ops_here):
-                store.create(f"{site}/conv3x3/weight", (width, width, 3, 3), init="normal", fan_in=width * 9)
-                store.create(f"{site}/ofa_proj", (width, width), init="identity")
-                if not config.wsbn:
-                    for op in ops_here:
-                        if op in PARAMETRIC_OPS:
-                            new_bn(f"{site}/{op}/bn", width)
-            else:
-                for op in ops_here:
-                    if op == "conv3x3":
-                        store.create(f"{site}/conv3x3/weight", (width, width, 3, 3), init="normal", fan_in=width * 9)
-                    elif op == "conv1x1":
-                        store.create(f"{site}/conv1x1/weight", (width, width), init="normal", fan_in=width)
-                    if op in PARAMETRIC_OPS and not config.wsbn:
-                        new_bn(f"{site}/{op}/bn", width)
-        if config.wsbn:
-            for v in range(1, spec.output_node + 1):
-                preds = _possible_preds(spec, v)
-                if restrict_to is not None:
-                    preds = [u for u in preds if (u, v) in restrict_to.edges]
-                for u in preds:
-                    new_bn(_wsbn_key(stack, v, u), c)
-
-    store.create("classifier/weight", (c, macro.num_classes), init="normal", fan_in=c)
-    store.create("classifier/bias", (macro.num_classes,), init="zeros")
-    return sn
+    for key, (shape, init, fan_in) in _layout(spec, macro, config, restrict_to).items():
+        if init == "bn":
+            state = BNState(key, shape[0], affine=bn_affine, track=bn_track, momentum=bn_momentum, eps=bn_eps)
+            state.create_params(store)
+            bn_states[key] = state
+        else:
+            store.create(key, shape, init=init, fan_in=fan_in)
+    return SuperNet(spec, macro, config, store, bn_states, seed, bn_affine, bn_track, restricted_to=restrict_to)
 
 
 def build_standalone(
@@ -275,39 +269,26 @@ def path_width(sn: SuperNet, enc: CellEncoding, train: bool) -> int:
     return max(1, sn.macro.init_channels // enc.output_in_degree())
 
 
+def _path_params(sn: SuperNet, enc: CellEncoding) -> dict[str, tuple]:
+    """Trainable key -> shape of each parameter one architecture's forward touches."""
+    sn.check_arch(enc)
+    params = {}
+    for key, (shape, init, _) in _layout(sn.spec, sn.macro, sn.config, enc).items():
+        if init != "bn":
+            params[key] = shape
+        elif sn.bn_affine:
+            params[key + "/scale"] = params[key + "/shift"] = shape
+    return params
+
+
 def select_path(sn: SuperNet, enc: CellEncoding) -> tuple[str, ...]:
     """Sorted trainable parameter keys (theta_i) one architecture's forward touches."""
-    sn.check_arch(enc)
-    spec = sn.spec
-    keys: set[str] = {"stem/conv/weight", "classifier/weight", "classifier/bias"}
-    if sn.bn_affine:
-        keys.update({"stem/bn/scale", "stem/bn/shift"})
+    return tuple(sorted(_path_params(sn, enc)))
 
-    def add_bn(key: str) -> None:
-        if sn.bn_affine:
-            keys.update({key + "/scale", key + "/shift"})
 
-    for stack in range(sn.macro.num_layers):
-        if spec.op_placement == "node":
-            actives = [(v, spec.ops[enc.ops[v - 1]]) for v in range(1, spec.n_nodes + 1)]
-        else:
-            actives = [(e, spec.ops[enc.edge_op(e)]) for e in enc.edges]
-        for where, op in actives:
-            site = _site(stack, spec, where)
-            if op == "conv3x3":
-                keys.add(f"{site}/conv3x3/weight")
-            elif op == "conv1x1":
-                if sn.config.ofa_kernel:
-                    keys.add(f"{site}/conv3x3/weight")
-                    keys.add(f"{site}/ofa_proj")
-                else:
-                    keys.add(f"{site}/conv1x1/weight")
-            if op in PARAMETRIC_OPS and not sn.config.wsbn:
-                add_bn(f"{site}/{op}/bn")
-        if sn.config.wsbn:
-            for u, v in enc.edges:
-                add_bn(_wsbn_key(stack, v, u))
-    return tuple(sorted(keys))
+def path_param_count(sn: SuperNet, enc: CellEncoding) -> int:
+    """Number of scalar parameters the architecture's forward touches."""
+    return sum(math.prod(shape) for shape in _path_params(sn, enc).values())
 
 
 # ---------------------------------------------------------------- slicing
@@ -372,32 +353,20 @@ def _apply_op(
     bn_mode: str,
     rng,
 ) -> Value:
-    strategy = sn.config.channel_strategy
     if op == "zero":
         return nn.zero_op(x)
     if op == "identity":
         return x
     if op == "avgpool3x3":
         return nn.avgpool3x3(x)
-    if op == "conv3x3":
-        w = tape.param(f"{site}/conv3x3/weight")
-        if width < sn.alloc_width:
-            w = _slice_weight_2d(w, width, width, strategy, rng)
-        y = nn.conv3x3(x, w)
-    else:  # conv1x1: SearchSpaceSpec admits no op outside OP_VOCABULARY
-        if sn.config.ofa_kernel:
-            w3 = tape.param(f"{site}/conv3x3/weight")
-            proj = tape.param(f"{site}/ofa_proj")
-            center = nn.reshape(
-                nn.take_axis(nn.take_axis(w3, np.array([1]), 2), np.array([1]), 3),
-                (w3.data.shape[0], w3.data.shape[1]),
-            )
-            w = nn.matmul2d(proj, center)
-        else:
-            w = tape.param(f"{site}/conv1x1/weight")
-        if width < sn.alloc_width:
-            w = _slice_weight_2d(w, width, width, strategy, rng)
-        y = nn.conv1x1(x, w)
+    # conv3x3 or conv1x1: SearchSpaceSpec admits no op outside OP_VOCABULARY
+    w, *proj = [tape.param(key) for key in _op_weights(sn.config, site, op, sn.alloc_width)]
+    if proj:  # ofa_kernel conv1x1: project the 3x3 kernel's center
+        center = nn.take_axis(nn.take_axis(w, np.array([1]), 2), np.array([1]), 3)
+        w = nn.matmul2d(proj[0], nn.reshape(center, w.data.shape[:2]))
+    if width < sn.alloc_width:
+        w = _slice_weight_2d(w, width, width, sn.config.channel_strategy, rng)
+    y = (nn.conv3x3 if op == "conv3x3" else nn.conv1x1)(x, w)
     if not sn.config.wsbn:
         y = nn.batchnorm(y, sn.bn_states[f"{site}/{op}/bn"], train=train, bn_mode=bn_mode)
     return nn.relu(y)
@@ -606,11 +575,6 @@ def mean_path_loss(
         logits, _ = forward_path(sn, enc, x, train=False, bn_mode=bn_mode, rng=rng, memo=memo)
         total += float(nn.cross_entropy(logits, y).data)
     return total / len(encs)
-
-
-def path_param_count(sn: SuperNet, enc: CellEncoding) -> int:
-    """Number of scalar parameters the architecture's forward touches."""
-    return int(sum(np.prod(sn.store.get(k).shape) for k in select_path(sn, enc)))
 
 
 def checkpoint_header(sn: SuperNet) -> str:

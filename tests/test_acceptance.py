@@ -34,7 +34,6 @@ from wsnaslab.data import SyntheticDatasetSpec, generate_dataset
 from wsnaslab.metrics import (
     EvalRecord,
     MetricConfig,
-    MetricsReport,
     kendall_tau,
     plain_kendall_tau,
     prob_surpass_random,
@@ -138,11 +137,11 @@ def env(tmp_path_factory):
     }
 
 
-def _rank_records(sns, hashes, table, x_val, y_val, batch_size):
+def _rank_records(sns, hashes, index, table, x_val, y_val, batch_size):
     """EvalRecords with one super-net accuracy column per trained net."""
     records = []
     for h in hashes:
-        enc = table.encoding_for(h)
+        enc = index.representatives[h]
         accs = tuple(evaluate_path(sn, enc, x_val, y_val, batch_size, bn_mode="batch") for sn in sns)
         records.append(EvalRecord(h, table.gt_mean(h), accs))
     return records
@@ -838,7 +837,7 @@ def test_criterion_08_dynamic_channel_ablation(env):
             config.space, config.macro, SuperNetConfig(channel_strategy="fixed_chunk"),
             proto, dataset, 2000 + s, index=index,
         )
-        rec_fixed = _rank_records([sn_fixed], index.hashes, table, x_val, y_val, proto.batch_size)
+        rec_fixed = _rank_records([sn_fixed], index.hashes, index, table, x_val, y_val, proto.batch_size)
         kdt_fixed = sparse_kendall_tau(rec_fixed, metric_cfg)
 
         rec_disabled = []
@@ -851,7 +850,7 @@ def test_criterion_08_dynamic_channel_ablation(env):
                 config.space, config.macro, sub_config, proto, dataset,
                 3000 + 10 * s + sub.k, index=index,
             )
-            rec_disabled += _rank_records([sn_sub], list(sub.arch_hashes), table, x_val, y_val, proto.batch_size)
+            rec_disabled += _rank_records([sn_sub], list(sub.arch_hashes), index, table, x_val, y_val, proto.batch_size)
         kdt_disabled = sparse_kendall_tau(rec_disabled, metric_cfg)
 
         wins += kdt_disabled >= kdt_fixed
@@ -900,7 +899,9 @@ def test_criterion_09_preset_end_to_end(env):
     if rc != 0:
         failures.append(f"run exited {rc}")
 
-    report = MetricsReport.load_csv(run_dir / "metrics.csv")
+    with open(run_dir / "metrics.csv", newline="") as f:
+        report = next(csv.DictReader(f))
+    s_kdt, final = float(report["s_kdt"]), float(report["final_performance"])
     with open(run_dir / "ranks.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     records = [
@@ -909,8 +910,8 @@ def test_criterion_09_preset_end_to_end(env):
     ]
     metric_cfg = env["config"].metrics
     recomputed = sparse_kendall_tau(records, metric_cfg)
-    if abs(recomputed - report.s_kdt) > 1e-12:
-        failures.append(f"artifacts disagree: ranks.csv gives {recomputed} vs metrics.csv {report.s_kdt}")
+    if abs(recomputed - s_kdt) > 1e-12:
+        failures.append(f"artifacts disagree: ranks.csv gives {recomputed} vs metrics.csv {s_kdt}")
 
     # permutation null: shuffle the super-net column, keep the ground truth
     null_rng = np.random.default_rng(7)
@@ -924,19 +925,19 @@ def test_criterion_09_preset_end_to_end(env):
         ]
         null.append(sparse_kendall_tau(shuffled, metric_cfg))
     null95 = float(np.percentile(null, 95))
-    if not report.s_kdt > null95:
-        failures.append(f"s-KdT {report.s_kdt:.3f} not above null95 {null95:.3f}")
+    if not s_kdt > null95:
+        failures.append(f"s-KdT {s_kdt:.3f} not above null95 {null95:.3f}")
 
     median_gt = float(np.median([env["table"].gt_mean(h) for h in env["table"].hashes()]))
-    if not report.final_performance >= median_gt:
-        failures.append(f"final {report.final_performance:.3f} below median gt {median_gt:.3f}")
+    if not final >= median_gt:
+        failures.append(f"final {final:.3f} below median gt {median_gt:.3f}")
 
     elapsed = time.time() - t0
     budget = elapsed + env["table_seconds"]
     ok = not failures and budget < 1800.0
     line = _report(
         9, "preset end to end", ok,
-        f"s-KdT {report.s_kdt:.3f} > null95 {null95:.3f}, final {report.final_performance:.3f} "
+        f"s-KdT {s_kdt:.3f} > null95 {null95:.3f}, final {final:.3f} "
         f">= median gt {median_gt:.3f} ({elapsed:.0f}s + {env['table_seconds']:.0f}s shared table / 1800s budget)",
     )
     assert ok, line + "; " + "; ".join(failures[:5])

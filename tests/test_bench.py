@@ -235,8 +235,8 @@ def test_build_micro_benchmark_serial_matches_parallel(tmp_path):
     assert serial.meta["multiplicity"] == {h: 1 for h in index.hashes}
     assert serial.meta["max_seed_spread"] == serial.max_seed_spread()
     for h in index.hashes:
-        assert serial.encoding_for(h) == index.representatives[h]
         for e in serial.entries_for(h):
+            assert e.encoding == index.representatives[h]
             assert 0.0 <= e.test_accuracy <= 1.0
             assert e.param_count > 0
 

@@ -456,6 +456,21 @@ def test_landscape_refuses_bad_values_when_parsing(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("build-benchmark", "--jobs", "0"), ("build-benchmark", "--jobs", "-2"),
+    ("histogram", "--draws", "0"), ("histogram", "--draws", "-3"),
+])
+def test_job_and_draw_counts_below_one_are_refused_when_parsing(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(tiny_config_dict(tmp_path)))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg), "--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be greater than 0, got {value}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("command", list(SUB_SPACE_COMMANDS))
 def test_ofa_kernel_without_both_kernels_exits_2_at_load(tmp_path, capsys, monkeypatch, command):
     """No table is built, so a check after load would exit 4 for `run`."""
@@ -533,6 +548,14 @@ def test_gradcheck_refuses_to_probe_fewer_than_one_element(capsys, count):
     assert main(["gradcheck", "--max-elements", count]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: max_elements_per_param must be at least 1, got {count}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("epsilon", ["0", "nan"])
+def test_gradcheck_refuses_an_epsilon_that_is_not_positive_and_finite(capsys, epsilon):
+    assert main(["gradcheck", "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epsilon must be positive and finite, got {float(epsilon)}\n"
     assert captured.out == ""
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import subprocess
@@ -401,13 +402,15 @@ def test_report_csv_round_trip(tmp_path):
     report = compute_report(records, MetricConfig(), surpass=(30, 42, 3))
     path = tmp_path / "metrics.csv"
     report.save_csv(path)
-    loaded = MetricsReport.load_csv(path)
-    for f in REPORT_FIELDS:
-        a, b = getattr(report, f), getattr(loaded, f)
+    with open(path, newline="") as f:
+        header, row = list(csv.reader(f))
+    assert tuple(header) == REPORT_FIELDS
+    for f, text in zip(REPORT_FIELDS, row):
+        a = getattr(report, f)
         if a is None:
-            assert b is None
+            assert text == NA
         else:
-            assert a == b  # repr round-trips floats exactly
+            assert a == float(text)  # repr round-trips floats exactly
 
 
 def test_report_csv_na_tokens(tmp_path):

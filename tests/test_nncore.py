@@ -228,6 +228,31 @@ def test_full_composite_path_gradients():
     check(builder, store, tol=1e-5, max_elements_per_param=6)
 
 
+def nan_masked_store_and_builder():
+    store = f64_store()
+    store.create("w", (3,), init="ones")
+
+    def builder(s):
+        tape = Tape(s)
+        return nn.reduce_sum(nn.mul_mask(tape.param("w"), np.array([1.0, np.nan, 2.0])))
+
+    return store, builder
+
+
+def test_a_non_finite_error_counts_as_infinite():
+    store, builder = nan_masked_store_and_builder()
+    result = finite_diff_check(builder, store)
+    assert result["max_rel_err"] == np.inf
+    assert result["per_param"] == {"w": np.inf}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-4, np.nan, np.inf])
+def test_finite_diff_check_refuses_an_epsilon_that_is_not_positive_and_finite(epsilon):
+    store, builder = nan_masked_store_and_builder()
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        finite_diff_check(builder, store, epsilon=epsilon)
+
+
 # ------------------------------------------------------------ behaviors
 
 def test_conv1x1_identity_weight_is_identity():

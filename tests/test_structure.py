@@ -1,4 +1,5 @@
-"""Package structure: each private name is read only in the module that owns it."""
+"""Package structure: each private name is read only in the module that owns
+it, and each parameter-key spelling lives in the one function that owns it."""
 
 from __future__ import annotations
 
@@ -15,4 +16,21 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom):
                 found += [f"{path.relative_to(PACKAGE)} imports {'.' * node.level}{node.module or ''} {a.name}"
                           for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_op_weight_keys_are_spelled_only_in_op_weights():
+    """supernet._op_weights owns the keys of the op weights; the builder, the
+    path queries and the op forward read them from it."""
+    owner = [range(node.lineno, node.end_lineno + 1)
+             for node in ast.walk(ast.parse((PACKAGE / "supernet.py").read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "_op_weights"]
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        owned = owner[0] if owner and path == PACKAGE / "supernet.py" else range(0)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Constant) or not isinstance(node.value, str) or node.lineno in owned:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno} spells {word}"
+                      for word in ("conv3x3/weight", "conv1x1/weight", "ofa_proj") if word in node.value]
     assert found == []

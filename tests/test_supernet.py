@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,160 @@ def test_path_param_count_exact():
     assert path_param_count(sn, conv3) == stem + head + 4 * (4 * 4 * 9 + 8)
     assert path_param_count(sn, conv1) == stem + head + 4 * (4 * 4 + 8)
     assert path_param_count(sn, pool) == stem + head
+
+
+# Frozen copy of the allocation and path selection that predate the one
+# layout table: the builder's store key order (shapes only) and BN state keys,
+# and select_path. The layout table must reproduce them, except that under
+# ofa_kernel a site's ofa_proj now follows its conv3x3 BN entries.
+
+def reference_build(spec, macro, config, restrict_to=None, bn_affine=True, bn_track=False):
+    """(store key -> shape in creation order, BN state keys in order)."""
+    shapes: dict[str, tuple] = {}
+    bn_keys: list[str] = []
+    c = macro.init_channels
+    width = max(1, c // config.fixed_k) if config.channel_strategy == "disabled" else c
+
+    def site_name(stack, where):
+        if spec.op_placement == "node":
+            return f"stack{stack}/node{where}"
+        return f"stack{stack}/edge{where[0]}-{where[1]}"
+
+    def new_bn(key, channels):
+        names = (["/scale", "/shift"] if bn_affine else []) + (["/mean", "/var"] if bn_track else [])
+        for name in names:
+            shapes.setdefault(key + name, (channels,))
+        bn_keys.append(key)
+
+    def active_ops(where):
+        if restrict_to is None:
+            return list(spec.ops)
+        if spec.op_placement == "node":
+            return [spec.ops[restrict_to.ops[where - 1]]]
+        return [spec.ops[restrict_to.edge_op(where)]] if where in restrict_to.edges else []
+
+    if spec.op_placement == "node":
+        wheres = list(range(1, spec.n_nodes + 1))
+    else:
+        wheres = list(spec.possible_edges() if restrict_to is None else restrict_to.edges)
+    shapes["stem/conv/weight"] = (c, macro.in_channels, 3, 3)
+    new_bn("stem/bn", c)
+    for stack in range(macro.num_layers):
+        for where in wheres:
+            site = site_name(stack, where)
+            ops_here = active_ops(where)
+            if config.ofa_kernel and any(op in ("conv3x3", "conv1x1") for op in ops_here):
+                shapes.setdefault(f"{site}/conv3x3/weight", (width, width, 3, 3))
+                shapes.setdefault(f"{site}/ofa_proj", (width, width))
+                if not config.wsbn:
+                    for op in ops_here:
+                        if op in ("conv3x3", "conv1x1"):
+                            new_bn(f"{site}/{op}/bn", width)
+            else:
+                for op in ops_here:
+                    if op == "conv3x3":
+                        shapes.setdefault(f"{site}/conv3x3/weight", (width, width, 3, 3))
+                    elif op == "conv1x1":
+                        shapes.setdefault(f"{site}/conv1x1/weight", (width, width))
+                    if op in ("conv3x3", "conv1x1") and not config.wsbn:
+                        new_bn(f"{site}/{op}/bn", width)
+        if config.wsbn:
+            for v in range(1, spec.output_node + 1):
+                preds = [u for u in range(v) if not (v == spec.output_node and u == 0)]
+                if restrict_to is not None:
+                    preds = [u for u in preds if (u, v) in restrict_to.edges]
+                for u in preds:
+                    new_bn(f"stack{stack}/wsbn/node{v}/from{u}/bn", c)
+    shapes["classifier/weight"] = (c, macro.num_classes)
+    shapes["classifier/bias"] = (macro.num_classes,)
+    return shapes, bn_keys
+
+
+def reference_select_path(spec, macro, config, bn_affine, enc):
+    keys = {"stem/conv/weight", "classifier/weight", "classifier/bias"}
+    if bn_affine:
+        keys.update({"stem/bn/scale", "stem/bn/shift"})
+
+    def add_bn(key):
+        if bn_affine:
+            keys.update({key + "/scale", key + "/shift"})
+
+    for stack in range(macro.num_layers):
+        if spec.op_placement == "node":
+            actives = [(f"stack{stack}/node{v}", spec.ops[enc.ops[v - 1]]) for v in range(1, spec.n_nodes + 1)]
+        else:
+            actives = [(f"stack{stack}/edge{u}-{v}", spec.ops[enc.edge_op((u, v))]) for u, v in enc.edges]
+        for site, op in actives:
+            if op == "conv3x3":
+                keys.add(f"{site}/conv3x3/weight")
+            elif op == "conv1x1":
+                if config.ofa_kernel:
+                    keys.update({f"{site}/conv3x3/weight", f"{site}/ofa_proj"})
+                else:
+                    keys.add(f"{site}/conv1x1/weight")
+            if op in ("conv3x3", "conv1x1") and not config.wsbn:
+                add_bn(f"{site}/{op}/bn")
+        if config.wsbn:
+            for u, v in enc.edges:
+                add_bn(f"stack{stack}/wsbn/node{v}/from{u}/bn")
+    return tuple(sorted(keys))
+
+
+LAYOUT_SPACES = {
+    "node-concat-n2": SearchSpaceSpec(),
+    "node-concat-n3": SearchSpaceSpec(n_nodes=3),
+    "edge-sum-n2": EDGE2,
+}
+LAYOUT_MACRO = MacroParams(init_channels=8, num_layers=2, num_classes=3, in_channels=1)
+
+
+def layout_configs(spec):
+    for wsbn, ofa in itertools.product((False, True), repeat=2):
+        yield SuperNetConfig(wsbn=wsbn, ofa_kernel=ofa)
+        if spec.channel_mode == "dynamic":
+            for k in range(1, spec.n_nodes + 1):
+                yield SuperNetConfig(channel_strategy="disabled", fixed_k=k, wsbn=wsbn, ofa_kernel=ofa)
+
+
+def assert_matches_reference(sn, ref_shapes, ref_bn_keys):
+    shapes = {key: value.shape for key, value in sn.store.items()}
+    assert shapes == ref_shapes  # same entries and shapes, in any order
+    if not sn.config.ofa_kernel:
+        assert list(shapes) == list(ref_shapes)
+        assert list(sn.bn_states) == ref_bn_keys
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_SPACES))
+def test_layout_matches_the_reference_builder_and_select_path(name):
+    """Every config of the grid (plain, WSBN, OFA, both, each disabled
+    fixed_k) with BN affine and tracking each on and off, every architecture
+    of the space, and every stand-alone net."""
+    spec = LAYOUT_SPACES[name]
+    encs = list(enumerate_space(spec).representatives.values())
+    checked = 0
+    for affine, track in itertools.product((False, True), repeat=2):
+        for config in layout_configs(spec):
+            sn = build_supernet(spec, LAYOUT_MACRO, config, seed=0, bn_affine=affine, bn_track=track)
+            ref_shapes, ref_bn_keys = reference_build(spec, LAYOUT_MACRO, config, None, affine, track)
+            assert_matches_reference(sn, ref_shapes, ref_bn_keys)
+            for enc in encs:
+                if config.fixed_k not in (None, enc.output_in_degree()):
+                    continue
+                keys = reference_select_path(spec, LAYOUT_MACRO, config, affine, enc)
+                assert select_path(sn, enc) == keys, (config, enc)
+                assert path_param_count(sn, enc) == sum(math.prod(ref_shapes[k]) for k in keys), (config, enc)
+                checked += 1
+        for enc in encs:
+            alone = build_standalone(spec, enc, LAYOUT_MACRO, seed=0, bn_affine=affine, bn_track=track)
+            ref_shapes, ref_bn_keys = reference_build(spec, LAYOUT_MACRO, alone.config, enc, affine, track)
+            assert_matches_reference(alone, ref_shapes, ref_bn_keys)
+            keys = reference_select_path(spec, LAYOUT_MACRO, alone.config, affine, enc)
+            assert select_path(alone, enc) == keys
+            assert path_param_count(alone, enc) == sum(math.prod(ref_shapes[k]) for k in keys)
+            checked += 1
+    # per BN pair: 4 shared configs, as many disabled ones (each architecture
+    # lies in one fixed_k sub-space), and the stand-alone nets
+    assert checked == 4 * len(encs) * (9 if spec.channel_mode == "dynamic" else 5)
 
 
 def test_path_width_rules():
