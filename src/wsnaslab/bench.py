@@ -205,10 +205,13 @@ def load_table(path: str | Path) -> BenchmarkTable:
         fail(1, f"header missing keys {sorted(missing)}")
     if header["format_version"] != FORMAT_VERSION:
         fail(1, f"unsupported format_version {header['format_version']!r} (expected {FORMAT_VERSION})")
-    spec = SearchSpaceSpec.from_dict(header["spec"])
+    try:
+        spec = SearchSpaceSpec.from_dict(header["spec"])
+        macro = MacroParams.from_dict(header["macro"])
+    except ValueError as e:
+        fail(1, f"bad header: {e}")
     if spec.space_id != header["space_id"]:
         fail(1, f"space_id {header['space_id']!r} does not match spec {spec.space_id!r}")
-    macro = MacroParams.from_dict(header["macro"])
     entries = []
     seen = set()
     for line_no, line in enumerate(text[1:], start=2):

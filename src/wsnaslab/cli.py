@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -28,7 +29,7 @@ from .bench import BenchmarkTable, build_micro_benchmark, load_table, save_table
 from .config import ExperimentConfig, load_config
 from .data import generate_dataset
 from .files import write_atomic, write_csv
-from .metrics import NA, REPORT_FIELDS, EvalRecord, MetricsReport, compute_report, rank_disorder
+from .metrics import NA, REPORT_FIELDS, EvalRecord, MetricsReport, compute_report, ordinal_ranks
 from .nncore import ParamStore, finite_diff_check, load_checkpoint, named_rng, save_checkpoint, stream_key
 from .protocol import loss_landscape_grid, standalone_landscape_loss_fn, supernet_landscape_loss_fn, train_supernet
 from .sampling import Sampler, sampling_histogram
@@ -198,14 +199,13 @@ def run_experiment(
               f"final loss {log.entries[-1]['loss']:.4f}")
 
     records = [EvalRecord(h, table.gt_mean(h), tuple(accuracies[h])) for h in hashes]
-    best = sorted(records, key=lambda r: (-r.supernet_mean, r.arch_hash))[0]
-    surpass = (table.gt_rank(best.arch_hash), table.r_max, len(config.eval.supernet_seeds))
+    gt_rank = ordinal_ranks(records, lambda r: r.gt_accuracy)
+    sn_rank = ordinal_ranks(records, lambda r: r.supernet_mean)
+    best = min(sn_rank, key=sn_rank.get)  # super-net rank 1
+    surpass = (table.gt_rank(best), table.r_max, len(config.eval.supernet_seeds))
     report = compute_report(records, config.metrics, surpass=surpass)
 
     report.save_csv(out_dir / "metrics.csv")
-    disorder = rank_disorder(records)
-    gt_rank = {h: r for h, r, _ in disorder}
-    sn_rank = {h: r for h, _, r in disorder}
     write_csv(out_dir / "ranks.csv", [
         ["arch_hash", "gt_accuracy", "supernet_mean", "gt_rank", "supernet_rank"],
         *([r.arch_hash, _fmt(r.gt_accuracy), _fmt(r.supernet_mean), gt_rank[r.arch_hash], sn_rank[r.arch_hash]]
@@ -295,14 +295,15 @@ def _restore_supernet(config: ExperimentConfig, seed: int, ckpt: str | None, dat
 def cmd_landscape(args) -> int:
     config = load_config(args.config)
     index = enumerate_space(config.space)
+    if args.arch and args.arch not in index.hashes_with_output_degree(config.supernet.fixed_k):
+        raise CliError(f"architecture {args.arch!r} not in space {config.space.space_id}, "
+                       f"fixed_k={config.supernet.fixed_k}", EXIT_MISMATCH)
     dataset = generate_dataset(config.dataset, config.benchmark.base_seed)
     x_train, y_train, _, _ = dataset.split(config.protocol.train_portion)
     batch = min(len(y_train), args.batch)
     x, y = x_train[:batch], y_train[:batch]
     sn = _restore_supernet(config, args.seed, args.ckpt, dataset, index)
     if args.arch:
-        if args.arch not in index.representatives:
-            raise CliError(f"architecture {args.arch!r} not in space {config.space.space_id}", EXIT_MISMATCH)
         loss_fn = standalone_landscape_loss_fn(sn, index.representatives[args.arch], x, y)
     else:
         loss_fn = supernet_landscape_loss_fn(sn, x, y, index, num_paths=args.num_paths, seed=args.seed)
@@ -396,9 +397,11 @@ def cmd_presets(args) -> int:
 # ------------------------------------------------------------------ main
 
 def _above(kind, bound):
-    """argparse type: a `kind` value greater than `bound`, refused at parse time."""
+    """argparse type: a finite `kind` value greater than `bound`, refused at parse time."""
     def parse(text: str):
         value = kind(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not value > bound:
             raise argparse.ArgumentTypeError(f"must be greater than {bound}, got {text}")
         return value
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--max-elements", type=int, default=8, help="probed elements per tensor")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_above(float, 0), default=1e-3)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("presets", help="list or emit shipped configs")

@@ -239,13 +239,6 @@ def ordinal_ranks(records: list[EvalRecord], key) -> dict[str, int]:
     return {r.arch_hash: i + 1 for i, r in enumerate(ordered)}
 
 
-def rank_disorder(records: list[EvalRecord]) -> list[tuple[str, int, int]]:
-    """(arch_hash, gt_rank, supernet_rank) triples for disorder plots."""
-    gt = ordinal_ranks(records, lambda r: r.gt_accuracy)
-    sn = ordinal_ranks(records, lambda r: r.supernet_mean)
-    return [(r.arch_hash, gt[r.arch_hash], sn[r.arch_hash]) for r in sorted(records, key=lambda r: r.arch_hash)]
-
-
 # ----------------------------------------------------------------- report
 
 NA = "NA"

@@ -1,5 +1,10 @@
 """Training protocols: single-path super-net training and stand-alone runs.
 
+One training step runs a plan of architectures (`sampling.Sampler.step`)
+through `fairnas_step`: a forward/backward pass per architecture, then one
+update with the mean gradient. A FairNAS plan holds o architectures; a
+single-path (SPOS) step, `spos_step`, is the one-architecture plan.
+
 The optimizer is SGD with momentum and coupled weight decay (v <- m*v + g +
 d*w; w <- w - lr*v), applied only to the parameters the step's forward
 touched, so one single-path step modifies exactly the selected path's
@@ -132,28 +137,25 @@ def _train_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def spos_step(sn: SuperNet, opt: SGD, enc: CellEncoding, xb, yb, lr: float, rng) -> float:
     """One single-path update; touches only the path's parameters."""
-    sn.store.zero_grads()
-    loss, tape = path_loss(sn, enc, xb, yb, train=True, bn_mode="batch", rng=rng)
-    tape.backward(loss)
-    opt.step(sn.store, tape.param_keys(), lr)
-    sn.store.zero_grads()
-    return float(loss.data)
+    return fairnas_step(sn, opt, (enc,), xb, yb, lr, rng)[0]
 
 
 def fairnas_step(sn: SuperNet, opt: SGD, plan, xb, yb, lr: float, rng) -> tuple[float, int]:
-    """Execute a fairness plan: o passes, one update with the mean gradient."""
+    """Run a step plan: one pass per architecture, one update with the mean
+    gradient over the touched parameters. Returns (mean loss, passes)."""
     sn.store.zero_grads()
     touched: set[str] = set()
     total = 0.0
-    for j in range(plan.length):
-        loss, tape = path_loss(sn, plan.arch(j), xb, yb, train=True, bn_mode="batch", rng=rng)
+    for enc in plan:
+        loss, tape = path_loss(sn, enc, xb, yb, train=True, bn_mode="batch", rng=rng)
         tape.backward(loss)
         touched.update(tape.param_keys())
         total += float(loss.data)
-    sn.store.scale_grads(1.0 / plan.length)
+    if len(plan) > 1:
+        sn.store.scale_grads(1.0 / len(plan))
     opt.step(sn.store, touched, lr)
     sn.store.zero_grads()
-    return total / plan.length, plan.length
+    return total / len(plan), len(plan)
 
 
 def _train(pconfig: ProtocolConfig, x_train, y_train, batch_rng, step) -> TrainLog:
@@ -202,9 +204,7 @@ def train_supernet(
     forward_rng = named_rng(seed, "forward")
 
     def step(xb, yb, lr):
-        if sampler.kind == "fairnas":
-            return fairnas_step(sn, opt, sampler.plan(sampler_rng), xb, yb, lr, forward_rng)
-        return spos_step(sn, opt, sampler.draw(sampler_rng), xb, yb, lr, forward_rng), 1
+        return fairnas_step(sn, opt, sampler.step(sampler_rng), xb, yb, lr, forward_rng)
 
     return sn, _train(pconfig, x_train, y_train, named_rng(seed, "batches"), step)
 

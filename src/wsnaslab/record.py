@@ -84,6 +84,8 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls._label} must be an object, got {d!r}")
         names, hints = _fields(cls)
         unknown = set(d) - set(names)
         if unknown:

@@ -8,15 +8,18 @@ makes every raw encoding equally likely before the validity filter.
 random_a draws uniformly over unique architectures (canonical hashes) via
 the enumeration index, removing encoding multiplicity bias.
 
-fairnas samples one valid skeleton uniformly, then builds a step plan: an
-independent permutation of all o ops per active site. Executing the plan
-costs o forward/backward passes (pass j assigns perm[site][j] everywhere)
-followed by one update with the mean gradient, so each site sees every op
-exactly once per plan.
+fairnas samples one valid skeleton uniformly, then draws an independent
+permutation of all o ops per active site; its step plan is the o
+architectures where pass j assigns perm[site][j] everywhere, so each site
+sees every op exactly once per plan.
+
+`Sampler.step` is what one training step trains: the fairnas plan, or a
+one-architecture plan holding a single draw of the other samplers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,34 +93,17 @@ def sample_skeleton(
     raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} exhausted sampling skeletons of {spec.space_id}")
 
 
-@dataclass(frozen=True)
-class FairStepPlan:
-    """One fairness round: a skeleton plus per-site op permutations."""
-
-    n_nodes: int
-    skeleton: tuple[tuple[int, int], ...]
-    site_perms: tuple[tuple[int, ...], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.site_perms[0]) if self.site_perms else 0
-
-    def arch(self, step: int) -> CellEncoding:
-        if not 0 <= step < self.length:
-            raise IndexError(f"plan step {step} outside 0..{self.length - 1}")
-        return CellEncoding(self.n_nodes, self.skeleton, tuple(perm[step] for perm in self.site_perms))
-
-
 def fairnas_plan(
     spec: SearchSpaceSpec,
     rng: np.random.Generator,
     k_filter: int | None = None,
-) -> FairStepPlan:
-    """Sample a skeleton and one op permutation per active site."""
+) -> tuple[CellEncoding, ...]:
+    """Sample a skeleton and one op permutation per active site; pass j of
+    the plan gives every site the j-th op of its permutation."""
     skeleton = sample_skeleton(spec, rng, k_filter=k_filter)
     n_sites = spec.op_slots(skeleton)
-    perms = tuple(tuple(int(v) for v in rng.permutation(spec.num_ops)) for _ in range(n_sites))
-    return FairStepPlan(spec.n_nodes, skeleton, perms)
+    perms = [rng.permutation(spec.num_ops).tolist() for _ in range(n_sites)]
+    return tuple(CellEncoding(spec.n_nodes, skeleton, ops) for ops in zip(*perms))
 
 
 @dataclass
@@ -142,10 +128,14 @@ class Sampler:
             return sample_random_a(self.index, rng, k_filter=self.k_filter)
         raise ValueError("fairnas draws plans, not single encodings")
 
-    def plan(self, rng: np.random.Generator) -> FairStepPlan:
+    def plan(self, rng: np.random.Generator) -> tuple[CellEncoding, ...]:
         if self.kind != "fairnas":
             raise ValueError(f"{self.kind} has no step plans")
         return fairnas_plan(self.spec, rng, k_filter=self.k_filter)
+
+    def step(self, rng: np.random.Generator) -> tuple[CellEncoding, ...]:
+        """The architectures one training step trains: a plan, or one draw."""
+        return self.plan(rng) if self.kind == "fairnas" else (self.draw(rng),)
 
 
 def sampling_histogram(
@@ -163,14 +153,4 @@ def sampling_histogram(
     if draws < 1:
         raise ValueError("draws must be positive")
     rng = named_rng(seed, "histogram", sampler.kind, sampler.k_filter)
-    counts: dict[str, int] = {}
-    for _ in range(draws):
-        if sampler.kind == "fairnas":
-            plan = sampler.plan(rng)
-            visited = [plan.arch(j) for j in range(plan.length)]
-        else:
-            visited = [sampler.draw(rng)]
-        for enc in visited:
-            key = canonical_hash(sampler.spec, enc)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(canonical_hash(sampler.spec, enc) for _ in range(draws) for enc in sampler.step(rng)))

@@ -341,28 +341,3 @@ def enumerate_space(spec: SearchSpaceSpec) -> EnumerationIndex:
                 representatives[key] = enc
     return EnumerationIndex(spec, representatives, multiplicity, raw)
 
-
-# --------------------------------------------------------------- partition
-
-@dataclass(frozen=True)
-class SubSpace:
-    """Architectures sharing one output in-degree k (constant cell width)."""
-
-    k: int
-    arch_hashes: tuple[str, ...]
-
-
-def partition_by_output_edges(spec: SearchSpaceSpec, index: EnumerationIndex | None = None) -> list[SubSpace]:
-    """Split a dynamic-channel space by the output node's in-degree.
-
-    Within sub-space k every architecture runs its intermediate nodes at the
-    same width floor(C_out / k), which is what makes per-sub-space training
-    with channel slicing disabled possible.
-    """
-    if spec.channel_mode != "dynamic":
-        raise ValueError("partition_by_output_edges requires a dynamic channel_mode spec")
-    if index is None:
-        index = enumerate_space(spec)
-    # the input->output edge is never in a space, so only the n intermediate nodes feed the output
-    by_k = {k: index.hashes_with_output_degree(k) for k in range(1, spec.n_nodes + 1)}
-    return [SubSpace(k=k, arch_hashes=hashes) for k, hashes in by_k.items() if hashes]

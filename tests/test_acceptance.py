@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -53,7 +54,6 @@ from wsnaslab.searchspace import (
     SearchSpaceSpec,
     canonical_hash,
     enumerate_space,
-    partition_by_output_edges,
     validate_encoding,
 )
 from wsnaslab.supernet import (
@@ -115,6 +115,7 @@ def env(tmp_path_factory):
         config.dataset,
         config.benchmark.base_seed,
         tuple(config.benchmark.run_seeds),
+        jobs=min(2, os.cpu_count() or 1),
         index=index,
     )
     table_seconds = time.time() - t0
@@ -708,7 +709,7 @@ def test_criterion_06_samplers():
 
     sn_probe = build_supernet(spec, macro, SuperNetConfig(), seed)
     captured = []
-    for j in range(plan.length):
+    for enc in plan:
         store = sn_probe.store
         raw: dict[str, np.ndarray] = {}
         original = store.accumulate_grad
@@ -719,7 +720,7 @@ def test_criterion_06_samplers():
             _orig(key, g)
 
         store.accumulate_grad = record
-        loss, tape = path_loss(sn_probe, plan.arch(j), xb, yb, train=True, bn_mode="batch")
+        loss, tape = path_loss(sn_probe, enc, xb, yb, train=True, bn_mode="batch")
         tape.backward(loss)
         del store.accumulate_grad
         store.zero_grads()
@@ -733,7 +734,7 @@ def test_criterion_06_samplers():
             else:
                 accumulated[key] = (accumulated[key].astype(np.float64) + g).astype(np.float32)
     for key in accumulated:
-        accumulated[key] = (accumulated[key] * (1.0 / plan.length)).astype(np.float32)
+        accumulated[key] = (accumulated[key] * (1.0 / len(plan))).astype(np.float32)
 
     sn_manual = build_supernet(spec, macro, SuperNetConfig(), seed)
     for key, g in accumulated.items():
@@ -829,7 +830,6 @@ def test_criterion_08_dynamic_channel_ablation(env):
     x_val, y_val = env["x_val"], env["y_val"]
 
     # per-sub-space supernets with slicing disabled vs one fixed-chunk net
-    subs = partition_by_output_edges(config.space, index)
     comparisons = []
     wins = 0
     for s in (0, 1, 2):
@@ -841,16 +841,19 @@ def test_criterion_08_dynamic_channel_ablation(env):
         kdt_fixed = sparse_kendall_tau(rec_fixed, metric_cfg)
 
         rec_disabled = []
-        for sub in subs:
+        for k in range(1, config.space.n_nodes + 1):
+            sub_hashes = index.hashes_with_output_degree(k)
+            if not sub_hashes:
+                continue
             sub_config = SuperNetConfig(
-                channel_strategy="disabled", fixed_k=sub.k,
+                channel_strategy="disabled", fixed_k=k,
                 dynamic_channel_train=False, dynamic_channel_test=False,
             )
             sn_sub, _ = train_supernet(
                 config.space, config.macro, sub_config, proto, dataset,
-                3000 + 10 * s + sub.k, index=index,
+                3000 + 10 * s + k, index=index,
             )
-            rec_disabled += _rank_records([sn_sub], list(sub.arch_hashes), index, table, x_val, y_val, proto.batch_size)
+            rec_disabled += _rank_records([sn_sub], list(sub_hashes), index, table, x_val, y_val, proto.batch_size)
         kdt_disabled = sparse_kendall_tau(rec_disabled, metric_cfg)
 
         wins += kdt_disabled >= kdt_fixed

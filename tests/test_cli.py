@@ -222,6 +222,20 @@ def test_run_with_a_duplicate_table_line_exits_4(workdir, tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("key, value", [("spec", 5), ("macro", [])])
+def test_run_with_a_table_header_section_that_is_not_an_object_exits_4(workdir, tmp_path, capsys, key, value):
+    bad = tmp_path / "bad_header.jsonl"
+    lines = (workdir / "bench.jsonl").read_text().splitlines()
+    header = dict(json.loads(lines[0]), **{key: value})
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert main(["run", "--config", config_path(workdir), "--bench", str(bad),
+                 "--out", str(tmp_path / "z")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: ") and "must be an object" in err, err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "z").exists()
+
+
 def test_run_with_mismatched_table_exits_3(workdir, tmp_path, capsys):
     d = tiny_config_dict(workdir)
     d["macro"]["init_channels"] = 8
@@ -456,6 +470,49 @@ def test_landscape_refuses_bad_values_when_parsing(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_landscape_refuses_a_radius_that_is_not_finite_when_parsing(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "generate_dataset", _no_dataset)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(tiny_config_dict(tmp_path)))
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["landscape", "--config", str(cfg), "--out", str(out), "--radius", value])
+    assert exit_info.value.code == 2
+    assert f"argument --radius: must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a super-net was trained")
+
+
+@pytest.mark.parametrize("fixed_k", [None, 1])
+def test_landscape_refuses_an_unranked_architecture_before_any_work(tmp_path, capsys, monkeypatch, fixed_k):
+    """An unknown hash, or a hash outside the fixed_k sub-space, exits 3
+    before the dataset is generated or a super-net is trained."""
+    monkeypatch.setattr(cli, "generate_dataset", _no_dataset)
+    monkeypatch.setattr(cli, "train_supernet", _no_training)
+    d = tiny_config_dict(tmp_path)
+    d["space"] = {"n_nodes": 2, "ops": ["conv1x1"]}  # output in-degrees 1 and 2
+    if fixed_k is not None:
+        d["supernet"] = {"channel_strategy": "disabled", "fixed_k": fixed_k,
+                         "dynamic_channel_train": False, "dynamic_channel_test": False}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    index = enumerate_space(ExperimentConfig.from_dict(d).space)
+    foreign = [h for h in index.hashes if index.representatives[h].output_in_degree() == 2]
+    arches = ["0000000000000000"] + (foreign[:1] if fixed_k is not None else [])
+    out = tmp_path / "grid.csv"
+    for arch in arches:
+        assert main(["landscape", "--config", str(cfg), "--out", str(out), "--arch", arch,
+                     "--half-points", "1", "--batch", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: architecture {arch!r} not in space {index.spec.space_id}, fixed_k={fixed_k}\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("build-benchmark", "--jobs", "0"), ("build-benchmark", "--jobs", "-2"),
     ("histogram", "--draws", "0"), ("histogram", "--draws", "-3"),
@@ -556,6 +613,17 @@ def test_gradcheck_refuses_an_epsilon_that_is_not_positive_and_finite(capsys, ep
     assert main(["gradcheck", "--epsilon", epsilon]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: epsilon must be positive and finite, got {float(epsilon)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tolerance):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--max-elements", "1", "--tolerance", tolerance])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    message = "must be finite" if tolerance in ("nan", "inf") else "must be greater than 0"
+    assert f"argument --tolerance: {message}, got {tolerance}" in captured.err
     assert captured.out == ""
 
 

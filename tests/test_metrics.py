@@ -26,7 +26,6 @@ from wsnaslab.metrics import (
     plain_kendall_tau,
     plain_spearman,
     prob_surpass_random,
-    rank_disorder,
     round_accuracies,
     sparse_kendall_tau,
     sparse_ranks,
@@ -333,7 +332,8 @@ def test_ordinal_ranks_and_disorder():
     records = [rec("a", 0.9, 0.3), rec("b", 0.8, 0.5), rec("c", 0.7, 0.4)]
     gt = ordinal_ranks(records, lambda r: r.gt_accuracy)
     assert gt == {"a": 1, "b": 2, "c": 3}
-    triples = rank_disorder(records)
+    sn = ordinal_ranks(records, lambda r: r.supernet_mean)
+    triples = [(h, gt[h], sn[h]) for h in sorted(gt)]
     assert triples == [("a", 1, 3), ("b", 2, 1), ("c", 3, 2)]
 
 

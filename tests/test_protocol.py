@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -160,6 +161,44 @@ def test_spos_step_modifies_only_the_selected_path():
     assert sn.store.grad_keys() == []  # grads cleared after the step
 
 
+def _spos_step_reference(sn, opt, enc, xb, yb, lr, rng) -> float:
+    """spos_step as it was written before it became the one-architecture
+    plan of fairnas_step, kept frozen as the reference."""
+    sn.store.zero_grads()
+    loss, tape = path_loss(sn, enc, xb, yb, train=True, bn_mode="batch", rng=rng)
+    tape.backward(loss)
+    opt.step(sn.store, tape.param_keys(), lr)
+    sn.store.zero_grads()
+    return float(loss.data)
+
+
+@pytest.mark.parametrize("repeated_cells", [1, 2])
+@pytest.mark.parametrize("momentum, weight_decay", [(0.0, 0.0), (0.9, 0.0), (0.0, 1e-3), (0.9, 1e-3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spos_step_matches_its_frozen_reference_bit_for_bit(dtype, momentum, weight_decay, repeated_cells):
+    """Five steps over different architectures leave the same losses, store
+    bytes and SGD velocity as the frozen single-path step."""
+    macro = dataclasses.replace(MACRO, repeated_cells=repeated_cells)
+    index = enumerate_space(MICRO)
+    runs = []
+    for step in (_spos_step_reference, spos_step):
+        sn = build_supernet(MICRO, macro, SuperNetConfig(), seed=8)
+        sn.store = sn.store.astype(dtype)
+        opt = SGD(momentum, weight_decay)
+        losses = []
+        for i in range(5):
+            x, y = batch(20 + i)
+            enc = index.representatives[index.hashes[7 * i % index.unique_count]]
+            losses.append(step(sn, opt, enc, x, y, lr=0.05, rng=named_rng(8, "spos-forward", i)))
+        assert sn.store.grad_keys() == []
+        store = {k: (sn.store.get(k).dtype.str, sn.store.get(k).tobytes()) for k in sn.store.keys()}
+        velocity = {k: (v.dtype.str, v.tobytes()) for k, v in opt._velocity.items()}
+        runs.append((losses, store, velocity))
+    assert all(math.isfinite(v) for v in runs[0][0])
+    assert (len(runs[0][2]) > 0) == (momentum > 0)
+    assert runs[0] == runs[1]
+
+
 def test_fairnas_step_uses_the_mean_gradient():
     """The fairness update must equal SGD applied to the average of the
     per-architecture gradients measured in isolation."""
@@ -168,22 +207,22 @@ def test_fairnas_step_uses_the_mean_gradient():
 
     # per-architecture gradients on identical fresh weights
     grads: list[dict[str, np.ndarray]] = []
-    for j in range(plan.length):
+    for enc in plan:
         probe = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=6)
-        loss, tape = path_loss(probe, plan.arch(j), x, y, train=True)
+        loss, tape = path_loss(probe, enc, x, y, train=True)
         tape.backward(loss)
         grads.append({k: probe.store.grad(k).astype(np.float64) for k in probe.store.grad_keys()})
 
     sn = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=6)
     before = {k: sn.store.get(k).copy() for k in sn.store.trainable_keys()}
     mean_loss, passes = fairnas_step(sn, SGD(0.0, 0.0), plan, x, y, lr=0.1, rng=None)
-    assert passes == plan.length == 3
+    assert passes == len(plan) == 3
 
     touched = set().union(*(g.keys() for g in grads))
     for key in sn.store.trainable_keys():
         w0 = before[key].astype(np.float64)
         if key in touched:
-            mean_g = sum(g.get(key, 0.0) for g in grads) / plan.length
+            mean_g = sum(g.get(key, 0.0) for g in grads) / len(plan)
             expected = (w0 - 0.1 * mean_g).astype(np.float32)
             np.testing.assert_allclose(sn.store.get(key), expected, rtol=2e-5, atol=2e-7)
         else:
@@ -194,9 +233,9 @@ def test_fairnas_mean_loss_matches_isolated_losses():
     plan = fairnas_plan(MICRO, named_rng(12, "plan2"))
     x, y = batch(2)
     singles = []
-    for j in range(plan.length):
+    for enc in plan:
         probe = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=7)
-        loss, tape = path_loss(probe, plan.arch(j), x, y, train=True)
+        loss, tape = path_loss(probe, enc, x, y, train=True)
         tape.backward(loss)
         singles.append(float(loss.data))
     sn = build_supernet(MICRO, MACRO, SuperNetConfig(), seed=7)

@@ -9,7 +9,6 @@ from scipy import stats
 from wsnaslab import sampling
 from wsnaslab.nncore import named_rng
 from wsnaslab.sampling import (
-    FairStepPlan,
     Sampler,
     fairnas_plan,
     sample_random_a,
@@ -134,27 +133,22 @@ def test_fairnas_plan_covers_every_op_once_per_site():
     rng = named_rng(6, "fair-cover")
     for _ in range(100):
         plan = fairnas_plan(MICRO, rng)
-        assert plan.length == MICRO.num_ops == 3
-        archs = [plan.arch(j) for j in range(plan.length)]
-        assert all(a.edges == plan.skeleton for a in archs)
+        assert len(plan) == MICRO.num_ops == 3
+        assert all(a.edges == plan[0].edges for a in plan)
         for site in range(MICRO.n_nodes):
-            seen = sorted(a.ops[site] for a in archs)
+            seen = sorted(a.ops[site] for a in plan)
             assert seen == [0, 1, 2]
-    with pytest.raises(IndexError):
-        plan.arch(3)
-    with pytest.raises(IndexError):
-        plan.arch(-1)
 
 
 def test_fairnas_plan_edge_space_sites():
     rng = named_rng(7, "fair-edges")
     plan = fairnas_plan(EDGE2, rng)
-    assert plan.length == 2
-    assert len(plan.site_perms) == len(plan.skeleton)
-    for j in range(plan.length):
-        arch = plan.arch(j)
-        assert arch.edges == plan.skeleton
-        assert len(arch.ops) == len(plan.skeleton)
+    assert len(plan) == 2
+    for arch in plan:
+        assert arch.edges == plan[0].edges
+        assert len(arch.ops) == len(plan[0].edges)
+    for site in range(len(plan[0].edges)):
+        assert sorted(a.ops[site] for a in plan) == [0, 1]
 
 
 def test_fairnas_skeleton_marginal_is_uniform():
@@ -173,7 +167,8 @@ def test_fairnas_k_filtered_skeletons():
     for _ in range(50):
         plan = fairnas_plan(MICRO, rng, k_filter=2)
         out = MICRO.output_node
-        assert sum(1 for _, v in plan.skeleton if v == out) == 2
+        assert all(a.edges == plan[0].edges for a in plan)
+        assert sum(1 for _, v in plan[0].edges if v == out) == 2
 
 
 # ------------------------------------------------------------ front end
@@ -197,7 +192,22 @@ def test_sampler_draw_dispatch():
     b = Sampler("random_nas", MICRO).draw(rng)
     assert isinstance(a, CellEncoding) and isinstance(b, CellEncoding)
     plan = Sampler("fairnas", MICRO).plan(rng)
-    assert isinstance(plan, FairStepPlan)
+    assert isinstance(plan, tuple) and all(isinstance(a, CellEncoding) for a in plan)
+
+
+@pytest.mark.parametrize("kind", ["random_nas", "random_a", "fairnas"])
+def test_sampler_step_is_the_plan_or_one_draw(kind):
+    """One training step trains the fairnas plan, or one draw of the other
+    samplers, from the same rng draws."""
+    for k_filter in (None, 1, 2):
+        sampler = Sampler(kind, MICRO, index=INDEX, k_filter=k_filter)
+        for seed in range(5):
+            rng, same = named_rng(seed, "step", kind), named_rng(seed, "step", kind)
+            step = sampler.step(rng)
+            assert step == (sampler.plan(same) if kind == "fairnas" else (sampler.draw(same),))
+            assert rng.bit_generator.state == same.bit_generator.state
+            assert len(step) == (MICRO.num_ops if kind == "fairnas" else 1)
+            assert all(a.output_in_degree() == k_filter for a in step if k_filter is not None)
 
 
 # ---------------------------------------------------------- histograms

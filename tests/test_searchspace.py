@@ -16,7 +16,6 @@ from wsnaslab.searchspace import (
     canonical_hash,
     enumerate_space,
     is_valid,
-    partition_by_output_edges,
     validate_encoding,
 )
 
@@ -358,34 +357,21 @@ def test_enumeration_guard_trips():
         enumerate_space(big)
 
 
-# ---------------------------------------------------------- partition
+# ---------------------------------------------------------- sub-spaces
 
-def test_partition_micro():
-    subs = partition_by_output_edges(MICRO)
-    sizes = {s.k: len(s.arch_hashes) for s in subs}
-    assert sizes == {1: 18, 2: 24}
-    union = set()
-    for s in subs:
-        assert not union & set(s.arch_hashes)
-        union.update(s.arch_hashes)
-    assert union == set(enumerate_space(MICRO).hashes)
-
-
-def test_partition_matches_output_in_degree():
+def test_hashes_with_output_degree_partitions_the_space():
+    """Sub-space k holds the architectures whose output in-degree is k, in
+    hash order; the sub-spaces k = 1..n partition the space."""
+    micro = enumerate_space(MICRO)
+    assert {k: len(micro.hashes_with_output_degree(k)) for k in (1, 2)} == {1: 18, 2: 24}
     for n_nodes in (1, 2, 3):
         spec = SearchSpaceSpec(n_nodes=n_nodes)
         index = enumerate_space(spec)
-        subs = partition_by_output_edges(spec, index)
-        assert [h for s in subs for h in s.arch_hashes] == sorted(
+        by_k = {k: index.hashes_with_output_degree(k) for k in range(1, n_nodes + 1)}
+        assert [h for k in sorted(by_k) for h in by_k[k]] == sorted(
             index.hashes, key=lambda h: (index.representatives[h].output_in_degree(), h))
-        for s in subs:
-            assert s.arch_hashes == index.hashes_with_output_degree(s.k)
-            for h in s.arch_hashes:
-                assert index.representatives[h].output_in_degree() == s.k
+        for k, hashes in by_k.items():
+            for h in hashes:
+                assert index.representatives[h].output_in_degree() == k
         assert index.hashes_with_output_degree(None) == tuple(index.hashes)
         assert index.hashes_with_output_degree(n_nodes + 1) == ()
-
-
-def test_partition_needs_dynamic_channels():
-    with pytest.raises(ValueError):
-        partition_by_output_edges(EDGE2)

@@ -1,5 +1,6 @@
 """Package structure: each private name is read only in the module that owns
-it, and each parameter-key spelling lives in the one function that owns it."""
+it, each parameter-key spelling lives in the one function that owns it, and
+only the sampler branches on the sampler kind."""
 
 from __future__ import annotations
 
@@ -33,4 +34,23 @@ def test_op_weight_keys_are_spelled_only_in_op_weights():
                 continue
             found += [f"{path.relative_to(PACKAGE)}:{node.lineno} spells {word}"
                       for word in ("conv3x3/weight", "conv1x1/weight", "ofa_proj") if word in node.value]
+    assert found == []
+
+
+def test_only_the_sampler_branches_on_the_sampler_kind():
+    """sampling.Sampler owns the choice between a plan and a draw; every other
+    caller trains or counts `Sampler.step` without naming a kind."""
+    kinds = {"random_nas", "random_a", "fairnas"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = set()
+        if path == PACKAGE / "sampling.py":
+            owned = {line for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Sampler"
+                     for line in range(node.lineno, node.end_lineno + 1)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and node.lineno not in owned:
+                found += [f"{path.relative_to(PACKAGE)}:{node.lineno} compares against {o.value!r}"
+                          for o in (node.left, *node.comparators)
+                          if isinstance(o, ast.Constant) and isinstance(o.value, str) and o.value in kinds]
     assert found == []
