@@ -359,11 +359,22 @@ def test_enumeration_guard_trips():
 
 # ---------------------------------------------------------- sub-spaces
 
-def test_hashes_with_output_degree_partitions_the_space():
+def test_partition_micro():
+    """Sub-spaces k = 1..n of the micro space have the known sizes and
+    partition the space."""
+    index = enumerate_space(MICRO)
+    subs = {k: index.hashes_with_output_degree(k) for k in (1, 2)}
+    assert {k: len(h) for k, h in subs.items()} == {1: 18, 2: 24}
+    union = set()
+    for hashes in subs.values():
+        assert not union & set(hashes)
+        union.update(hashes)
+    assert union == set(index.hashes)
+
+
+def test_partition_matches_output_in_degree():
     """Sub-space k holds the architectures whose output in-degree is k, in
-    hash order; the sub-spaces k = 1..n partition the space."""
-    micro = enumerate_space(MICRO)
-    assert {k: len(micro.hashes_with_output_degree(k)) for k in (1, 2)} == {1: 18, 2: 24}
+    hash order."""
     for n_nodes in (1, 2, 3):
         spec = SearchSpaceSpec(n_nodes=n_nodes)
         index = enumerate_space(spec)
