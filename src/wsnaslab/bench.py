@@ -17,7 +17,6 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,8 @@ class BenchmarkTable:
         for e in self.entries:
             self._by_hash.setdefault(e.arch_hash, []).append(e)
         self._hashes = list(self._by_hash)
+        ordered = sorted(self._hashes, key=lambda h: (self.gt_mean(h), h))
+        self._worst_first = {h: i + 1 for i, h in enumerate(ordered)}
 
     def hashes(self) -> list[str]:
         return list(self._hashes)
@@ -99,16 +100,11 @@ class BenchmarkTable:
     def gt_rank(self, arch_hash: str) -> int:
         """Rank counted from the worst: a bijection onto 1..r_max, where
         r_max is the best architecture and equal means are ordered by hash.
-        The rank map is built on the first call; the table is not modified
-        after construction."""
+        The rank map is built with the table, which is not modified after
+        construction."""
         if arch_hash not in self._worst_first:
             raise KeyError(f"architecture {arch_hash!r} not in the table")
         return self._worst_first[arch_hash]
-
-    @cached_property
-    def _worst_first(self) -> dict[str, int]:
-        ordered = sorted(self._hashes, key=lambda h: (self.gt_mean(h), h))
-        return {h: i + 1 for i, h in enumerate(ordered)}
 
     @property
     def r_max(self) -> int:
@@ -199,6 +195,8 @@ def load_table(path: str | Path) -> BenchmarkTable:
         header = json.loads(text[0])
     except json.JSONDecodeError as e:
         fail(1, f"bad header: {e}")
+    if not isinstance(header, dict):
+        fail(1, f"header must be a JSON object, got {text[0].strip()[:40]}")
     required = {"format_version", "space_id", "spec", "macro", "protocol_digest"}
     missing = required - set(header)
     if missing:

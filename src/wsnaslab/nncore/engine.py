@@ -15,7 +15,11 @@ The tape is consumed before that walk, so a backward that raises cannot
 be retried on half-summed gradients. A tape built with record=False
 (forward_path in eval mode) pushes no nodes, so it keeps no activation or
 backward closure alive and cannot be differentiated: its backward()
-raises.
+raises. Such a tape may carry spans, consecutive sample ranges of its
+batch: batchnorm with batch statistics and linear treat each span as a
+batch of its own, and the other primitives a forward_path runs compute
+each sample on its own, so one forward gives bit for bit the outputs of
+one forward per span.
 
 Only inputs and parameters need gradients; a value needs one only if some
 parent does. Constants (the training batch in forward_path, zero_op
@@ -79,12 +83,21 @@ class Tape:
     backward call raises. A tape built with record=False keeps no nodes,
     so each activation is freed as soon as the next primitive has used
     it; its backward() raises.
+
+    spans, on a tape that records nothing, splits the batch into
+    consecutive (start, stop) sample ranges that run as separate batches
+    in one forward: batchnorm takes batch statistics per span and linear
+    runs one matmul per span, so each span's outputs are bit for bit those
+    of a forward over that span alone. None is one span over the batch.
     """
 
-    def __init__(self, store: ParamStore, record: bool = True):
+    def __init__(self, store: ParamStore, record: bool = True, spans: tuple[tuple[int, int], ...] | None = None):
+        if record and spans is not None:
+            raise ValueError("a recording tape runs one batch: spans are for eval tapes only")
         self.store = store
         self.dtype = store.dtype
         self.record = record
+        self.spans = spans
         self._nodes: list[tuple[int, tuple[int | None, ...], Callable]] = []
         self._grads: dict[int, np.ndarray] = {}
         self._params: dict[str, int] = {}
@@ -318,6 +331,13 @@ def linear(x: Value, weight: Value, bias: Value) -> Value:
         raise ValueError(f"linear shapes: x {x.data.shape}, weight {weight.data.shape}")
     x_data, w_data = x.data, weight.data
     need_w, need_b, need_x = weight.needs_grad, bias.needs_grad, x.needs_grad
+    x64, w64 = _f64(x_data), _f64(w_data)
+    # a float64 matmul can round a row otherwise in a taller matrix (a
+    # one-row product does), so each span gets a matmul of its own
+    if tape.spans is None:
+        product = x64 @ w64
+    else:
+        product = np.concatenate([x64[start:stop] @ w64 for start, stop in tape.spans])
 
     def backward(d_out):
         d64 = _f64(d_out)
@@ -327,7 +347,7 @@ def linear(x: Value, weight: Value, bias: Value) -> Value:
             d64 @ _f64(w_data).T if need_x else None,
         )
 
-    return tape._push(_f64(x_data) @ _f64(w_data) + _f64(bias.data), (weight, bias, x), backward)
+    return tape._push(product + _f64(bias.data), (weight, bias, x), backward)
 
 
 def relu(x: Value) -> Value:
@@ -561,34 +581,35 @@ def batchnorm(x: Value, state: BNState, train: bool, bn_mode: str = "batch") -> 
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
     shape = (1, c) if x.data.ndim == 2 else (1, c, 1, 1)
     use_batch = train or bn_mode == "batch"
+    if not use_batch and not state.track:
+        raise ValueError(f"tracked evaluation requested but {state.key!r} tracks no statistics")
     # a private float64 copy of x, centred and then scaled in place into x_hat
     x_hat = x.data.astype(np.float64)
-    squares = None
-
-    if use_batch:
-        if x.data.shape[0] < 2:
-            raise ValueError("batch statistics need batch size >= 2")
-        # numpy's own mean and var algorithm, with one centred pass
-        count = x.data.size // c
-        mean = x_hat.sum(axis=axes) / count
-        x_hat -= mean.reshape(shape)
-        squares = x_hat * x_hat
-        var = squares.sum(axis=axes) / count
-        if train and state.track:
-            mu = store.get(state.key + "/mean")
-            sig = store.get(state.key + "/var")
-            g = state.momentum
-            mu[:c] = (g * _f64(mu[:c]) + (1 - g) * mean).astype(mu.dtype)
-            sig[:c] = (g * _f64(sig[:c]) + (1 - g) * var).astype(sig.dtype)
-    else:
-        if not state.track:
-            raise ValueError(f"tracked evaluation requested but {state.key!r} tracks no statistics")
-        mean = _f64(store.get(state.key + "/mean")[:c])
-        var = _f64(store.get(state.key + "/var")[:c])
-        x_hat -= mean.reshape(shape)
-
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat *= inv_std.reshape(shape)
+    squares = np.empty_like(x_hat) if use_batch else None
+    # batch statistics are taken on each span's contiguous block of samples;
+    # a recording tape, the only one backward runs on, has a single span
+    for start, stop in tape.spans if use_batch and tape.spans else ((0, len(x_hat)),):
+        block = x_hat[start:stop]
+        if use_batch:
+            if stop - start < 2:
+                raise ValueError("batch statistics need batch size >= 2")
+            # numpy's own mean and var algorithm, with one centred pass
+            count = block.size // c
+            mean = block.sum(axis=axes) / count
+            block -= mean.reshape(shape)
+            var = np.multiply(block, block, out=squares[start:stop]).sum(axis=axes) / count
+        else:
+            mean = _f64(store.get(state.key + "/mean")[:c])
+            var = _f64(store.get(state.key + "/var")[:c])
+            block -= mean.reshape(shape)
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        block *= inv_std.reshape(shape)
+    if train and state.track:
+        mu = store.get(state.key + "/mean")
+        sig = store.get(state.key + "/var")
+        g = state.momentum
+        mu[:c] = (g * _f64(mu[:c]) + (1 - g) * mean).astype(mu.dtype)
+        sig[:c] = (g * _f64(sig[:c]) + (1 - g) * var).astype(sig.dtype)
 
     affine = state.affine
     if affine:

@@ -23,24 +23,28 @@ reads (under ofa_kernel a conv1x1 reads the site's 3x3 kernel and a projection).
 
 Eval forwards share work across architectures. The two eval loops live
 here, next to the cache they fill: evaluate_path (accuracy, the eval set in
-spans of batch_size) and mean_path_loss (loss, the eval set as one span).
-Under eval the stem output is a pure function of the weights and the batch,
-and so is each first-cell node's output given its op, width, bn_mode and
-inputs. The two loops therefore keep, on the net, the stem output of each
-eval span and the outputs of first-cell nodes 1..n-1, keyed by node id, op
-(the in-edge ops under edge placement), width, bn_mode and the inputs'
-keys. An architecture whose keys were seen reads those read-only arrays
-instead of recomputing them, so every logit is bit for bit a cold
-forward's. The last intermediate node is not cached: its value fixes the
-whole cell, so it is rarely shared (816 distinct values in 1234 n=3 uses).
+spans of batch_size, two consecutive spans per forward on a tape with
+spans, so each span keeps its own batch-norm statistics and classifier
+matmul) and mean_path_loss (loss, the eval set as one span). Under eval
+the stem output is a pure function of the weights and the forward's
+spans, and so is each first-cell node's output given its op, width,
+bn_mode and inputs. The two loops therefore keep, on the net, the stem
+output of each forward's group of spans and the outputs of first-cell
+nodes 1..n-1, keyed by node id, op (the in-edge ops under edge
+placement), width, bn_mode and the inputs' keys. An architecture whose
+keys were seen reads those read-only arrays instead of recomputing them,
+so every logit is bit for bit a cold forward's. The last intermediate
+node is not cached: its value fixes the whole cell, so it is rarely
+shared (816 distinct values in 1234 n=3 uses).
 The cache holds one eval set and is emptied when the eval set's bytes or
 the bytes of any store array under stem/ or stack0/ differ from those it
 was filled with (store.set, SGD, in-place BN buffer updates); on the
 preset's eval fold it holds ~3.8 MiB after all 1234 n=3 architectures. Both
-loops hand forward_path the memo of each eval span and the rng their caller
+loops hand forward_path the memo of each group and the rng their caller
 passed. Train forwards, forward_path calls without a memo, stand-alone nets
 (restricted_to set) and the shuffle strategy, whose slices draw from that
-rng, never use the cache.
+rng, never use the cache; under shuffle each forward runs one span, so its
+draws stay one set per span.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ CHANNEL_STRATEGIES = ("fixed_chunk", "shuffle", "interpolate", "disabled")
 PARAMETRIC_OPS = ("conv3x3", "conv1x1")
 # store keys read by the stem and the first cell, whose eval outputs are cached
 _SHARED_PREFIXES = ("stem/", "stack0/")
+# eval spans per evaluate_path forward: two halve a ranking pass's forwards,
+# while eval memory stays within twice a one-span forward's for any eval set
+_SPANS_PER_FORWARD = 2
 
 
 @dataclass(frozen=True)
@@ -440,6 +447,7 @@ def forward_path(
     bn_mode: str = "batch",
     rng: np.random.Generator | None = None,
     memo: dict | None = None,
+    spans: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[Value, Tape]:
     """Run one architecture through the shared weights.
 
@@ -449,10 +457,12 @@ def forward_path(
     An rng is required when the forward is stochastic (dropout in train
     mode, or the shuffle channel strategy).
 
+    spans, for eval forwards only, splits x into consecutive (start, stop)
+    ranges that run as separate batches (Tape); None is one span.
     memo, for eval forwards only, is the eval memo from _eval_memos of
-    the one span of the eval set that x is: the forward reads the stem
-    and first-cell node outputs it holds and stores those it computes.
-    Without one (the default) nothing is shared or kept.
+    the group of spans of the eval set that x is: the forward reads the
+    stem and first-cell node outputs it holds and stores those it
+    computes. Without one (the default) nothing is shared or kept.
     """
     sn.check_arch(enc)
     needs_rng = sn.config.channel_strategy == "shuffle" or (
@@ -460,7 +470,7 @@ def forward_path(
     )
     if needs_rng and rng is None:
         raise ValueError("this configuration needs an rng for forward_path")
-    tape = Tape(sn.store, record=train)
+    tape = Tape(sn.store, record=train, spans=spans)
     stem = None if memo is None else memo.get((0, bn_mode))
     if stem is None:
         h = nn.conv3x3(tape.constant(x), tape.param("stem/conv/weight"))
@@ -488,15 +498,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _eval_memos(sn: SuperNet, x: np.ndarray) -> dict | None:
-    """The net's eval cache for the eval set x: span (start, stop) -> memo.
+    """The net's eval cache for the eval set x: group (start, spans) -> memo.
 
     A memo maps the key of the stem or of a first-cell node to its output
-    on x[start:stop]. The cache is kept on the net for one eval set and
-    is emptied whenever the bytes of x or of any store array under
-    _SHARED_PREFIXES differ from those it was filled with; comparing bytes
-    also catches the in-place writes of BN running buffers and gradient
-    checks. None (no caching) for stand-alone nets and for the shuffle
-    strategy, whose slices draw from the rng.
+    on the group's samples, x[start:start + spans[-1][1]], run with spans.
+    The cache is kept on the net for one eval set and is emptied whenever
+    the bytes of x or of any store array under _SHARED_PREFIXES differ
+    from those it was filled with; comparing bytes also catches the
+    in-place writes of BN running buffers and gradient checks. None (no
+    caching) for stand-alone nets and for the shuffle strategy, whose
+    slices draw from the rng.
     """
     if sn.restricted_to is not None or sn.config.channel_strategy == "shuffle":
         return None
@@ -530,6 +541,15 @@ def _eval_spans(n: int, batch_size: int, fold_singleton: bool) -> list[tuple[int
     return spans
 
 
+def _eval_groups(spans: list[tuple[int, int]], per_forward: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(start, spans as offsets from start) of each run of per_forward consecutive spans."""
+    groups = []
+    for i in range(0, len(spans), per_forward):
+        start = spans[i][0]
+        groups.append((start, tuple((a - start, b - start) for a, b in spans[i : i + per_forward])))
+    return groups
+
+
 def evaluate_path(
     sn: SuperNet,
     enc: CellEncoding,
@@ -543,16 +563,24 @@ def evaluate_path(
 
     Evaluation keeps every example, in spans of batch_size; with
     batch-statistics BN a trailing single sample is folded into the
-    previous span. Spans share the eval cache (module docstring).
+    previous span. Each forward runs _SPANS_PER_FORWARD consecutive spans
+    (one under shuffle), every span bit for bit a forward of its own, and
+    forwards share the eval cache (module docstring).
     """
+    if y.ndim != 1 or len(x) != len(y):
+        raise ValueError(f"eval set disagrees: x has shape {x.shape}, y has shape {y.shape}")
     n = len(y)
     if n == 0:
         raise ValueError("empty evaluation set")
     memos = _eval_memos(sn, x)
+    per_forward = 1 if sn.config.channel_strategy == "shuffle" else _SPANS_PER_FORWARD
     correct = 0
-    for start, stop in _eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"):
-        memo = None if memos is None else memos.setdefault((start, stop), {})
-        logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng, memo=memo)
+    for start, spans in _eval_groups(_eval_spans(n, batch_size, fold_singleton=bn_mode == "batch"), per_forward):
+        stop = start + spans[-1][1]
+        memo = None if memos is None else memos.setdefault((start, spans), {})
+        logits, _ = forward_path(
+            sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng, memo=memo, spans=spans,
+        )
         correct += int((np.argmax(logits.data, axis=1) == y[start:stop]).sum())
     return correct / n
 
@@ -569,7 +597,7 @@ def mean_path_loss(
     if not encs:
         raise ValueError("no architectures given")
     memos = _eval_memos(sn, x)
-    memo = None if memos is None else memos.setdefault((0, len(x)), {})
+    memo = None if memos is None else memos.setdefault((0, ((0, len(x)),)), {})
     total = 0.0
     for enc in encs:
         logits, _ = forward_path(sn, enc, x, train=False, bn_mode=bn_mode, rng=rng, memo=memo)

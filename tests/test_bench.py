@@ -132,6 +132,18 @@ def test_gt_rank_matches_a_brute_force_sort_on_a_large_table():
         t.gt_rank("absent")
 
 
+def test_the_rank_map_is_built_with_the_table(monkeypatch):
+    """gt_mean runs once per architecture at construction and never from
+    gt_rank, so a count of gt_mean calls does not depend on rank queries."""
+    calls = []
+    real = BenchmarkTable.gt_mean
+    monkeypatch.setattr(BenchmarkTable, "gt_mean", lambda self, h: calls.append(h) or real(self, h))
+    t = synthetic_table({"aa": [(0, 0.5, 0.8)], "bb": [(0, 0.5, 0.6)]})
+    assert sorted(calls) == ["aa", "bb"]
+    assert [t.gt_rank(h) for h in ("aa", "bb", "aa")] == [2, 1, 2]
+    assert len(calls) == 2
+
+
 # ------------------------------------------------------------ persistence
 
 def test_save_load_round_trip_is_byte_identical(tmp_path):

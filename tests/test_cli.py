@@ -210,6 +210,17 @@ def test_run_with_corrupt_table_line_exits_4(workdir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {corrupt}:3: bad entry")
 
 
+@pytest.mark.parametrize("header", ["5", "null", "[]", '"x"'])
+def test_run_with_a_table_header_that_is_not_an_object_exits_4(workdir, tmp_path, capsys, header):
+    table = tmp_path / "header.jsonl"
+    lines = (workdir / "bench.jsonl").read_text().splitlines()
+    table.write_text("\n".join([header] + lines[1:]) + "\n")
+    assert main(["run", "--config", config_path(workdir), "--bench", str(table),
+                 "--out", str(tmp_path / "z")]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {table}:1: header must be a JSON object, got {header}\n"
+
+
 def test_run_with_a_duplicate_table_line_exits_4(workdir, tmp_path, capsys):
     doubled = tmp_path / "doubled.jsonl"
     lines = (workdir / "bench.jsonl").read_text().splitlines()

@@ -1,15 +1,19 @@
 """The super-net's eval cache: shared stem and first-cell node outputs.
 
-evaluate_path reuses, across architectures, the stem output of each eval
-batch and the outputs of first-cell nodes 1..n-1. Every logit must stay
-bit for bit what a cold forward computes, and any change to the eval set
-or to a stem or first-cell store array must empty the cache.
+evaluate_path runs two eval batches per forward and reuses, across
+architectures, the stem output of each forward and the outputs of
+first-cell nodes 1..n-1. Every logit must stay bit for bit what a cold
+forward per batch computes, and any change to the eval set or to a stem
+or first-cell store array must empty the cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
+import math
+import re
 import tracemalloc
 from importlib import resources
 
@@ -22,8 +26,10 @@ from wsnaslab.data import generate_dataset
 from wsnaslab.nncore import named_rng
 from wsnaslab.searchspace import SearchSpaceSpec, enumerate_space
 from wsnaslab.supernet import (
+    _SPANS_PER_FORWARD,
     MacroParams,
     SuperNetConfig,
+    _eval_groups,
     _eval_spans,
     build_standalone,
     build_supernet,
@@ -94,27 +100,33 @@ def logits_seen(monkeypatch):
     return seen
 
 
-def cached(seen, sn, enc, x, y, bn_mode, rng=None):
-    """evaluate_path's logits for one architecture, or its error message."""
+def cached(seen, sn, enc, x, y, bn_mode, rng=None, batch_size=BATCH):
+    """evaluate_path's logits for one architecture, its forwards' bytes
+    joined, or its error message."""
     del seen[:]
     try:
-        evaluate_path(sn, enc, x, y, BATCH, bn_mode=bn_mode, rng=rng)
+        evaluate_path(sn, enc, x, y, batch_size, bn_mode=bn_mode, rng=rng)
     except ValueError as e:
         return str(e)
-    return list(seen)
+    return b"".join(seen)
 
 
-def cold(sn, enc, x, bn_mode, rng=None):
-    """The same logits from forward_path without a memo, which never reads or
-    fills the cache."""
+def cold(sn, enc, x, bn_mode, rng=None, batch_size=BATCH):
+    """The reference: the same logits from one forward_path per eval span,
+    without a memo, so it never reads or fills the cache; bytes joined."""
     out = []
     try:
-        for start, stop in _eval_spans(len(x), BATCH, fold_singleton=bn_mode == "batch"):
+        for start, stop in _eval_spans(len(x), batch_size, fold_singleton=bn_mode == "batch"):
             logits, _ = forward_path(sn, enc, x[start:stop], train=False, bn_mode=bn_mode, rng=rng)
             out.append(logits.data.tobytes())
     except ValueError as e:
         return str(e)
-    return out
+    return b"".join(out)
+
+
+def groups(n, bn_mode):
+    """evaluate_path's forwards, as the eval cache keys them."""
+    return set(_eval_groups(_eval_spans(n, BATCH, fold_singleton=bn_mode == "batch"), _SPANS_PER_FORWARD))
 
 
 def cache_bytes(sn) -> int:
@@ -145,8 +157,8 @@ def test_cached_logits_equal_a_cold_net_bit_for_bit(name, bn_mode, logits_seen):
             checked += 1
     assert checked == 2 * len(encs)
     assert ref._eval_cache is None
-    # the cache holds the spans of the last eval set only
-    assert set(sn._eval_cache[1]) == set(_eval_spans(len(x), BATCH, fold_singleton=bn_mode == "batch"))
+    # the cache holds the forwards of the last eval set only
+    assert set(sn._eval_cache[1]) == groups(len(x), bn_mode)
 
 
 def test_only_the_first_of_repeated_cells_is_cached(logits_seen):
@@ -162,7 +174,7 @@ def test_mean_path_loss_through_the_cache_is_bit_for_bit():
     ref = build(NODE3, SuperNetConfig())
     x, y = eval_sets()[0]
     encs = archs(NODE3, SuperNetConfig())[::7]
-    encs = [e for e in encs if isinstance(cold(ref, e, x, "batch"), list)]
+    encs = [e for e in encs if isinstance(cold(ref, e, x, "batch"), bytes)]
     total = sum(float(path_loss(ref, e, x, y, train=False)[0].data) for e in encs)
     assert mean_path_loss(sn, encs, x, y) == total / len(encs)
     assert cache_bytes(sn) > 0
@@ -190,6 +202,60 @@ def test_standalone_nets_and_train_forwards_bypass_the_cache():
     forward_path(sn, enc, x, train=True)
     forward_path(sn, enc, x, train=False)
     assert sn._eval_cache is None
+
+
+# ---------------------------------------------------- spans per forward
+
+def eval_set(n, seed):
+    rng = named_rng(seed, "eval-span-sets", n)
+    return rng.normal(size=(n, 1, 6, 6)).astype(np.float32), rng.integers(0, 3, size=n)
+
+
+@pytest.mark.parametrize("batch_size", [2, 4, 32])
+@pytest.mark.parametrize("bn_mode", ["batch", "tracked"])
+@pytest.mark.parametrize("name", list(SPACES))
+def test_forwards_of_two_spans_equal_one_forward_per_span(name, bn_mode, batch_size, logits_seen):
+    """13 images at batch 4 fold a trailing singleton under batch BN; at
+    batch 32 every set is one span, at batch 2 a set is five to seven."""
+    spec, config = SPACES[name]
+    sn = build(spec, config, bn_track=bn_mode == "tracked")
+    ref = build(spec, config, bn_track=bn_mode == "tracked")
+    encs = archs(spec, config)
+    picked = [encs[j] for j in named_rng(batch_size, "eval-span-archs", name).permutation(len(encs))[:24]]
+    for n in (9, 10, 13):
+        x, y = eval_set(n, batch_size)
+        for enc in picked:
+            want = cold(ref, enc, x, bn_mode, batch_size=batch_size)
+            assert cached(logits_seen, sn, enc, x, y, bn_mode, batch_size=batch_size) == want, (n, enc)
+
+
+@pytest.mark.parametrize("strategy", ["interpolate", "shuffle"])
+def test_each_forward_runs_two_spans_or_one_under_shuffle(strategy, logits_seen):
+    config = SuperNetConfig(channel_strategy=strategy)
+    sn = build(NODE2, config)
+    enc = archs(NODE2, config)[-1]
+    rng = named_rng(6, "span-count")
+    for n, batch_size in itertools.product((9, 10, 13, 21), (2, 4, 32)):
+        x, y = eval_set(n, 0)
+        spans = _eval_spans(n, batch_size, fold_singleton=True)
+        assert isinstance(cached(logits_seen, sn, enc, x, y, "batch", rng, batch_size), bytes)
+        assert len(logits_seen) == (len(spans) if strategy == "shuffle" else math.ceil(len(spans) / 2))
+
+
+def test_a_training_forward_refuses_spans():
+    sn = build(NODE2, SuperNetConfig())
+    x, _ = eval_set(8, 0)
+    with pytest.raises(ValueError, match="spans"):
+        forward_path(sn, archs(NODE2, SuperNetConfig())[0], x, train=True, spans=((0, 4), (4, 8)))
+
+
+@pytest.mark.parametrize("y_shape", [(9, 1), (8,), (10,)], ids=["2-d", "y-shorter", "x-shorter"])
+def test_an_eval_set_whose_x_and_y_disagree_is_refused(y_shape):
+    sn = build(NODE2, SuperNetConfig())
+    x, _ = eval_set(9, 0)
+    y = np.zeros(y_shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"x has shape \(9, 1, 6, 6\), y has shape " + re.escape(str(y_shape))):
+        evaluate_path(sn, archs(NODE2, SuperNetConfig())[0], x, y, BATCH)
 
 
 # ------------------------------------------------------------ invalidation
@@ -271,7 +337,7 @@ def test_a_second_eval_set_replaces_the_first(logits_seen):
     full = cache_bytes(sn)
     cached(logits_seen, sn, encs[0], xb, yb, "batch")
     one = cache_bytes(sn)
-    assert set(sn._eval_cache[1]) == set(_eval_spans(len(xb), BATCH, fold_singleton=True))
+    assert set(sn._eval_cache[1]) == groups(len(xb), "batch")
     assert 0 < one < full
     fresh = build(NODE3, SuperNetConfig())
     cached(logits_seen, fresh, encs[0], xb, yb, "batch")

@@ -848,6 +848,51 @@ def test_in_place_batchnorm_matches_the_out_of_place_formula(n):
         _bits_equal(x, x0, what)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_and_linear_on_a_tape_with_spans_equal_one_tape_per_span(dtype):
+    """Each span's outputs are bit for bit those of an eval tape over that
+    span alone, for 2-d and 4-d BN inputs, affine or not, in both modes. A
+    one-row float64 matmul rounds otherwise than the same row in a taller
+    one, which the trailing singleton span (tracked BN only) shows."""
+    span_sets = (((0, 32), (32, 45)), ((0, 4), (4, 9)), ((0, 2), (2, 4), (4, 7)), ((0, 4), (4, 5)))
+    for spans, ndim, affine, bn_mode in itertools.product(span_sets, (2, 4), (True, False), ("batch", "tracked")):
+        if bn_mode == "batch" and min(stop - start for start, stop in spans) < 2:
+            continue
+        n = spans[-1][1]
+        rng = named_rng(n, "bn-spans", ndim, affine, bn_mode)
+        x = (rng.standard_normal((n, 6) if ndim == 2 else (n, 6, 5, 5)) * 3.0 + 1.5).astype(dtype)
+        z = rng.standard_normal((n, 6)).astype(dtype)
+        store = ParamStore(seed=0, dtype=dtype)
+        state = BNState("bn", channels=8, affine=affine, track=True)
+        state.create_params(store)
+        for key in store.keys():
+            store.set(key, rng.uniform(0.5, 2.0, 8).astype(dtype))
+        store.create("w", (6, 3), init="normal", fan_in=6)
+        store.create("b", (3,), init="zeros")
+        store.set("b", rng.standard_normal(3).astype(dtype))
+
+        def forward(tape, rows):
+            out = nn.batchnorm(tape.constant(x[rows]), state, train=False, bn_mode=bn_mode)
+            return out.data, nn.linear(tape.constant(z[rows]), tape.param("w"), tape.param("b")).data
+
+        joined = forward(Tape(store, record=False, spans=spans), slice(None))
+        alone = [forward(Tape(store, record=False), slice(*span)) for span in spans]
+        what = f"{np.dtype(dtype).name} spans={spans} ndim={ndim} affine={affine} {bn_mode}"
+        for k in range(2):
+            _bits_equal(joined[k], np.concatenate([a[k] for a in alone]), what)
+
+
+def test_spans_are_for_eval_tapes_and_batch_statistics_need_two_per_span():
+    with pytest.raises(ValueError, match="spans"):
+        Tape(ParamStore(), spans=((0, 2), (2, 4)))
+    store = f64_store()
+    state = BNState("bn", channels=2, affine=False, track=False)
+    state.create_params(store)
+    tape = Tape(store, record=False, spans=((0, 3), (3, 4)))
+    with pytest.raises(ValueError, match="batch size"):
+        nn.batchnorm(tape.constant(np.ones((4, 2, 2, 2))), state, train=False)
+
+
 # ------------------------------------------------------------------- BN
 
 def test_bn_train_updates_running_stats_by_momentum():
